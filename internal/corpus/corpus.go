@@ -128,7 +128,8 @@ func (c *Corpus) ByPattern() map[core.Pattern][]*Project {
 	return out
 }
 
-// persisted is the JSON wire form of a corpus.
+// persisted is the JSON wire form of a corpus. WriteJSON encodes it with
+// encoding/json; decodeProjects reads it back field for field.
 type persisted struct {
 	Projects []persistedProject `json:"projects"`
 }
@@ -158,14 +159,19 @@ func (c *Corpus) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// ReadJSON loads a persisted corpus.
+// ReadJSON loads a persisted corpus. Only whitespace may follow the
+// corpus value.
 func ReadJSON(r io.Reader) (*Corpus, error) {
-	var p persisted
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
+	data, err := vcs.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("corpus: reading: %w", err)
+	}
+	projects, err := decodeProjects(data)
+	if err != nil {
 		return nil, fmt.Errorf("corpus: decoding: %w", err)
 	}
 	c := &Corpus{}
-	for i, pp := range p.Projects {
+	for i, pp := range projects {
 		if pp.Repo == nil {
 			return nil, fmt.Errorf("corpus: project %d (%q) has no repo", i, pp.Name)
 		}
@@ -183,6 +189,55 @@ func ReadJSON(r io.Reader) (*Corpus, error) {
 		c.Projects = append(c.Projects, prj)
 	}
 	return c, nil
+}
+
+var (
+	persistedFields = []string{"projects"}
+	projectFields   = []string{"name", "ground_truth", "dialect", "repo"}
+)
+
+// decodeProjects decodes the persisted envelope with the repository wire
+// decoder (vcs.Reader), under the same encoding/json rules.
+func decodeProjects(data []byte) ([]persistedProject, error) {
+	r := vcs.NewReader(data)
+	var projects []persistedProject
+	if r.Object() {
+		for f, ok := r.NextField(persistedFields); ok; f, ok = r.NextField(persistedFields) {
+			if f == "projects" {
+				vcs.Slice(r, &projects, func(p *persistedProject) { decodeProject(r, p) })
+			} else {
+				r.Skip()
+			}
+		}
+	}
+	return projects, r.End()
+}
+
+func decodeProject(r *vcs.Reader, p *persistedProject) {
+	if !r.Object() {
+		return
+	}
+	for f, ok := r.NextField(projectFields); ok; f, ok = r.NextField(projectFields) {
+		switch f {
+		case "name":
+			r.String(&p.Name)
+		case "ground_truth":
+			r.String(&p.GroundTruth)
+		case "dialect":
+			r.String(&p.Dialect)
+		case "repo":
+			if r.Null() {
+				p.Repo = nil
+				continue
+			}
+			if p.Repo == nil {
+				p.Repo = new(vcs.Repo)
+			}
+			r.Repo(p.Repo)
+		default:
+			r.Skip()
+		}
+	}
 }
 
 // SaveFile writes the corpus to a JSON file.

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -53,14 +52,14 @@ type batchSummaryWire struct {
 // decodeBatchLine parses and validates one NDJSON input line. Factored
 // out of the handler so the fuzzer can drive it directly.
 func decodeBatchLine(line []byte) (*vcs.Repo, error) {
-	var repo vcs.Repo
-	if err := json.Unmarshal(line, &repo); err != nil {
+	repo, err := vcs.DecodeJSON(line)
+	if err != nil {
 		return nil, fmt.Errorf("invalid repository JSON: %w", err)
 	}
 	if err := repo.Validate(); err != nil {
 		return nil, err
 	}
-	return &repo, nil
+	return repo, nil
 }
 
 // handleBatch is POST /v1/projects:batch.

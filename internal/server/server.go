@@ -41,8 +41,8 @@
 package server
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -500,6 +500,11 @@ func (s *Server) retryAfterSeconds() string {
 	return strconv.Itoa(secs)
 }
 
+// maxBodyPresize caps the buffer handleSubmit allocates from a request's
+// declared Content-Length before any body byte has arrived. It covers a
+// typical submission (tens of KB) in one allocation.
+const maxBodyPresize = 64 << 10
+
 // handleSubmit is POST /v1/projects: accept a DDL commit history
 // (vcs.Repo JSON), analyze it — deduplicated by content fingerprint,
 // incrementally when the store holds the project's previous version,
@@ -513,9 +518,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if maxBody <= 0 {
 		maxBody = 32 << 20
 	}
-	var repo vcs.Repo
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	if err := dec.Decode(&repo); err != nil {
+	// Read the body once, presized from its declared length; MinRead
+	// spare bytes let the final read see EOF without growing the buffer.
+	// The presize is capped at maxBodyPresize, not at the body limit: the
+	// length is the client's claim, and a client that declares 32 MiB and
+	// then stalls must not hold 32 MiB of server memory. Longer bodies grow
+	// the buffer as their bytes arrive.
+	size := min(r.ContentLength, maxBodyPresize)
+	if size < 0 {
+		size = 0
+	}
+	var body bytes.Buffer
+	body.Grow(int(size) + bytes.MinRead)
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+	var repo *vcs.Repo
+	if err == nil {
+		repo, err = vcs.DecodeJSON(body.Bytes())
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid repository JSON: "+err.Error(), nil)
 		return
 	}
@@ -523,7 +543,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error(), nil)
 		return
 	}
-	out, cacheState, err := s.submit(r.Context(), &repo, false)
+	out, cacheState, err := s.submit(r.Context(), repo, false)
 	if err != nil {
 		s.writeSubmitError(w, err)
 		return

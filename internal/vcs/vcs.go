@@ -7,10 +7,12 @@
 package vcs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -212,16 +214,35 @@ func (r *Repo) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// ReadJSON deserializes a repo and validates it.
+// ReadJSON deserializes a repo and validates it. Only whitespace may
+// follow the repo value.
 func ReadJSON(rd io.Reader) (*Repo, error) {
-	var r Repo
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
+	data, err := ReadAll(rd)
+	if err != nil {
+		return nil, fmt.Errorf("vcs: reading repo: %w", err)
+	}
+	r, err := DecodeJSON(data)
+	if err != nil {
 		return nil, fmt.Errorf("vcs: decoding repo: %w", err)
 	}
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	return &r, nil
+	return r, nil
+}
+
+// ReadAll reads rd to EOF like io.ReadAll, but when rd is a regular file
+// it sizes the buffer from the file's length up front, so a file is read
+// in one allocation instead of a chain of doublings and copies.
+func ReadAll(rd io.Reader) ([]byte, error) {
+	var buf bytes.Buffer
+	if f, ok := rd.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
+		}
+	}
+	_, err := buf.ReadFrom(rd)
+	return buf.Bytes(), err
 }
 
 // SaveFile writes the repo to path as JSON.
