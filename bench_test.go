@@ -311,23 +311,7 @@ func BenchmarkScaleRandomCorpus(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelAnalysis compares the worker-pool analysis against the
-// sequential baseline on the calibrated corpus.
-func BenchmarkParallelAnalysis(b *testing.B) {
-	c, err := GeneratePaperCorpus(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := AnalyzeCorpusParallel(c, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSequentialAnalysis is the baseline for BenchmarkParallelAnalysis.
+// BenchmarkSequentialAnalysis is the baseline for BenchmarkPipelineAnalysis.
 func BenchmarkSequentialAnalysis(b *testing.B) {
 	c, err := GeneratePaperCorpus(1)
 	if err != nil {
@@ -342,8 +326,8 @@ func BenchmarkSequentialAnalysis(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineAnalysis times the staged concurrent pipeline without a
-// cache on the calibrated corpus.
+// BenchmarkPipelineAnalysis times the sharded pipeline without a cache on
+// the calibrated corpus.
 func BenchmarkPipelineAnalysis(b *testing.B) {
 	c, err := GeneratePaperCorpus(1)
 	if err != nil {

@@ -2,24 +2,23 @@
 // calibrated 151-project corpus and writes the results as JSON, so every
 // PR leaves a comparable performance record behind.
 //
-// Five variants are timed (best of -runs repetitions each, corpus
+// Four variants are timed (best of -runs repetitions each, corpus
 // generation excluded):
 //
 //   - sequential:    Corpus.Analyze, one project at a time
-//   - parallel:      Corpus.AnalyzeParallel at GOMAXPROCS workers
-//   - pipeline:      the staged pipeline, no cache
-//   - pipeline-cold: the staged pipeline with an empty result cache
-//   - pipeline-warm: the staged pipeline with a fully warm result cache
+//   - pipeline:      pipeline.Run at GOMAXPROCS shards, no cache
+//   - pipeline-cold: pipeline.Run with an empty result cache
+//   - pipeline-warm: pipeline.Run with a fully warm result cache
 //
 // Beside wall time, every variant records its allocation trajectory
 // (allocs/project and bytes/project, measured over the timed runs), so the
 // BENCH artifact captures memory cost, not just speed.
 //
-// Beyond the five ambient-GOMAXPROCS variants, a scaling matrix re-times
+// Beyond the four ambient-GOMAXPROCS variants, a scaling matrix re-times
 // the sequential and pipeline variants at each GOMAXPROCS value of
 // -matrix (default 1,2,4,8, adjusted in-process), recording the
 // pipeline-vs-sequential ratio per core count — the artifact therefore
-// shows whether stage parallelism pays at every width, not just the
+// shows whether shard parallelism pays at every width, not just the
 // recording machine's.
 //
 // Usage:
@@ -444,7 +443,7 @@ func run(seed int64, runs int, out string, withTel bool, cpuprofile, memprofile 
 	}
 	if rep.Cores < 4 {
 		rep.Note = fmt.Sprintf(
-			"measured on %d core(s): stage parallelism cannot exceed 1x here; the warm-cache variant shows the caching win",
+			"measured on %d core(s): shard parallelism cannot exceed 1x here; the warm-cache variant shows the caching win",
 			rep.Cores)
 	}
 
@@ -460,9 +459,6 @@ func run(seed int64, runs int, out string, withTel bool, cpuprofile, memprofile 
 		fn   func(*corpus.Corpus, *telemetry.Collector) (pipeline.Stats, error)
 	}{
 		{"sequential", sequentialFn},
-		{"parallel", func(c *corpus.Corpus, tel *telemetry.Collector) (pipeline.Stats, error) {
-			return pipeline.Stats{}, c.AnalyzeParallelObserved(quantize.DefaultScheme(), 0, tel)
-		}},
 		{"pipeline", pipelineFn},
 		{"pipeline-cold", func(c *corpus.Corpus, tel *telemetry.Collector) (pipeline.Stats, error) {
 			dir, err := os.MkdirTemp(cacheRoot, "cold-")

@@ -421,14 +421,14 @@ func run(projects, conc, rounds int, seed int64, out string, renderBytes int64, 
 	}
 
 	rep := report{
-		GeneratedBy:  "cmd/benchserve",
-		Date:         time.Now().UTC().Format("2006-01-02"),
-		Seed:         seed,
-		Projects:     projects,
-		Concurrency:  conc,
-		WarmRounds:   rounds,
-		Cores:        runtime.NumCPU(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
+		GeneratedBy:    "cmd/benchserve",
+		Date:           time.Now().UTC().Format("2006-01-02"),
+		Seed:           seed,
+		Projects:       projects,
+		Concurrency:    conc,
+		WarmRounds:     rounds,
+		Cores:          runtime.NumCPU(),
+		GOMAXPROCS:     runtime.GOMAXPROCS(0),
 		PipelineRuns:   srv.Analyses(),
 		RestartRuns:    srv2.Analyses() + srv2.Incrementals(),
 		RenderHitRate:  renderHitRate,

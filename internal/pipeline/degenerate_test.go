@@ -111,9 +111,7 @@ func TestDegenerateLifetimesParallelWorkers(t *testing.T) {
 	}
 	for _, w := range []int{1, 2, 8} {
 		c := degenerateCorpus(t)
-		_, err := Run(context.Background(), c, Options{
-			ParseWorkers: w, AssembleWorkers: w, MetricsWorkers: w,
-		})
+		_, err := Run(context.Background(), c, Options{Shards: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

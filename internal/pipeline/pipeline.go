@@ -1,12 +1,12 @@
 // Package pipeline runs the per-project analysis path (DDL parsing →
 // history assembly → measures → labels) over a corpus with a
-// shard-per-core architecture: projects are hashed to N shards, each shard
-// is one goroutine that owns its reconstructor scratch and runs every
-// stage of its projects to completion, with per-project error attribution,
-// cooperative cancellation, and an optional content-addressed result cache
-// that memoizes the expensive stages across invocations. There are no
-// cross-stage channels: at one shard the run degenerates to exactly the
-// sequential loop, so the pipeline can never underperform
+// shard-per-core architecture: N shard goroutines claim projects from one
+// shared cursor, and each shard owns its reconstructor scratch and runs
+// every stage of a project to completion, with per-project error
+// attribution, cooperative cancellation, and an optional content-addressed
+// result cache that memoizes the expensive stages across invocations.
+// There are no cross-stage channels: at one shard the run degenerates to
+// exactly the sequential loop, so the pipeline can never underperform
 // corpus.Corpus.Analyze by construction (the regression the earlier
 // channel-staged design measured at 1 core).
 //
@@ -53,20 +53,12 @@ import (
 // per core (GOMAXPROCS), the paper's quantization scheme, no cache, no
 // deadline, no fault injection, and collect-all error handling.
 type Options struct {
-	// Shards sets how many analysis shards the corpus is hashed across;
-	// each shard is one goroutine running every stage of its projects to
-	// completion. <= 0 derives the count from the legacy worker fields,
-	// else GOMAXPROCS; the count is clamped to the project count, and a
-	// single shard runs inline in the caller's goroutine — exactly the
-	// sequential loop.
+	// Shards sets how many analysis shards run the corpus; each shard is
+	// one goroutine that claims the next unclaimed project and runs every
+	// stage of it to completion. <= 0 selects GOMAXPROCS; the count is
+	// clamped to the project count, and a single shard runs inline in the
+	// caller's goroutine — exactly the sequential loop.
 	Shards int
-	// ParseWorkers, AssembleWorkers and MetricsWorkers are the legacy
-	// per-stage pool sizes; since the shard-per-core rewrite a stage
-	// cannot be sized independently, so when Shards is unset the shard
-	// count is the maximum of the three. Values <= 0 select GOMAXPROCS.
-	ParseWorkers    int
-	AssembleWorkers int
-	MetricsWorkers  int
 	// FailFast cancels the run on the first project failure instead of
 	// collecting every failure (the default).
 	FailFast bool
@@ -85,7 +77,7 @@ type Options struct {
 	Scheme *quantize.Scheme
 	// ProjectTimeout bounds one project's total in-stage processing time.
 	// A project that exceeds it is failed with the timeout taxonomy and
-	// its worker goroutine is abandoned (quarantined): the stage pool
+	// its worker goroutine is abandoned (quarantined): the shard
 	// moves on immediately and the stray goroutine's results are
 	// discarded when it eventually returns. 0 disables the watchdog.
 	ProjectTimeout time.Duration
@@ -123,13 +115,8 @@ type Stats struct {
 	// CacheErrors, preserving its "anything unhealthy" meaning).
 	CacheCorrupt int `json:"cache_corrupt,omitempty"`
 
-	// Shards is the resolved shard count of the run; the legacy per-stage
-	// worker fields all report the same value (stages are no longer sized
-	// independently).
-	Shards          int `json:"shards"`
-	ParseWorkers    int `json:"parse_workers"`
-	AssembleWorkers int `json:"assemble_workers"`
-	MetricsWorkers  int `json:"metrics_workers"`
+	// Shards is the resolved shard count of the run.
+	Shards int `json:"shards"`
 
 	Elapsed time.Duration `json:"elapsed_ns"`
 
@@ -160,7 +147,6 @@ const (
 // here and committed to the Project only when the whole chain succeeds, so
 // a failed project is left un-Analyzed rather than half-populated.
 type job struct {
-	idx         int
 	p           *corpus.Project
 	fingerprint string
 	entry       *cacheEntry
@@ -196,14 +182,8 @@ func Run(ctx context.Context, c *corpus.Corpus, opts Options) (Stats, error) {
 	if opts.Scheme != nil {
 		scheme = *opts.Scheme
 	}
-	shards := resolveShards(opts, n)
-	stats := Stats{
-		Projects:        n,
-		Shards:          shards,
-		ParseWorkers:    shards,
-		AssembleWorkers: shards,
-		MetricsWorkers:  shards,
-	}
+	shards := clampWorkers(opts.Shards, n)
+	stats := Stats{Projects: n, Shards: shards}
 
 	// Resolve the dialect selection once: a forced adapter, or nil under
 	// "auto" (per-project detection inside ParseVersionsIn). An unknown
@@ -351,29 +331,30 @@ func Run(ctx context.Context, c *corpus.Corpus, opts Options) (Stats, error) {
 		exec.named("metrics", measure),
 	}
 
-	// Hash every project to a shard up front. All jobs exist before any
-	// shard runs, so a cancelled or failed-fast run still accounts for
-	// every project (skipped ones pass through un-Analyzed and error-free,
-	// exactly as jobs past a closed channel did in the old staged design).
-	results := make([]*job, n)
-	buckets := make([][]*job, shards)
+	// Every job exists before any shard runs, so a cancelled or
+	// failed-fast run still accounts for every project (skipped ones pass
+	// through un-Analyzed and error-free).
+	jobs := make([]*job, n)
 	for i, p := range c.Projects {
-		s := 0
-		if shards > 1 {
-			s = shardFor(p.Name, shards)
-		}
-		buckets[s] = append(buckets[s], &job{idx: i, p: p})
+		jobs[i] = &job{p: p}
 	}
 
-	// Each shard owns one workerScratch and drives its projects through
-	// every stage back to back: no cross-stage handoff, no channel sends,
-	// and reconstructor/parser state stays hot in one goroutine. The stage
-	// wrappers still provide panic isolation, the deadline watchdog, and
-	// per-stage telemetry.
-	runShard := func(jobs []*job) {
+	// Each shard owns one workerScratch and claims the next project from
+	// the shared cursor until none remain, driving each through every
+	// stage back to back: no cross-stage handoff, no channel sends, and
+	// reconstructor/parser state stays hot in one goroutine. Claiming
+	// dynamically keeps every shard busy however the heavy projects fall.
+	// Each index is claimed once, so a shard writes its (possibly
+	// replaced) job back to jobs[i] without a lock. The stage wrappers
+	// still provide panic isolation, the deadline watchdog, and per-stage
+	// telemetry.
+	var cursor atomic.Int64
+	claim := func() int { return int(cursor.Add(1)) - 1 }
+	runShard := func() {
 		ws := &workerScratch{}
 		defer ws.release()
-		for _, j := range jobs {
+		for i := claim(); i < n; i = claim() {
+			j := jobs[i]
 			if tel != nil {
 				j.readyAt = time.Now()
 			}
@@ -389,31 +370,31 @@ func Run(ctx context.Context, c *corpus.Corpus, opts Options) (Stats, error) {
 					j.readyAt = time.Now()
 				}
 			}
-			results[j.idx] = j
+			jobs[i] = j
 		}
 	}
 	if shards <= 1 {
 		// Single shard: run inline in the caller's goroutine — this is
 		// exactly the sequential analysis loop, with zero scheduling
 		// overhead on top.
-		runShard(buckets[0])
+		runShard()
 	} else {
 		var wg sync.WaitGroup
 		for s := 0; s < shards; s++ {
 			wg.Add(1)
-			go func(jobs []*job) {
+			go func() {
 				defer wg.Done()
-				runShard(jobs)
-			}(buckets[s])
+				runShard()
+			}()
 		}
 		wg.Wait()
 	}
 
-	// Collect in corpus order: results is index-addressed, so failure and
+	// Collect in corpus order: jobs is index-addressed, so failure and
 	// anomaly reporting is deterministic without sorting.
 	var failures []*job
 	var anomalous []*job
-	for _, j := range results {
+	for _, j := range jobs {
 		if j.err != nil {
 			failures = append(failures, j)
 			tel.Degradation(string(j.kind))
@@ -464,7 +445,7 @@ func Run(ctx context.Context, c *corpus.Corpus, opts Options) (Stats, error) {
 }
 
 // stageExec carries the per-run fault-handling and telemetry configuration
-// shared by the three stage pools; named binds it to one stage's function.
+// shared by the three stages; named binds it to one stage's function.
 type stageExec struct {
 	timeout time.Duration
 	fail    func(*job, FailureKind, error)
@@ -475,11 +456,10 @@ func (e stageExec) named(name string, fn func(*job, *workerScratch)) stage {
 	return stage{name: name, fn: fn, timeout: e.timeout, fail: e.fail, col: e.col, tel: e.col.Stage(name)}
 }
 
-// workerScratch is the per-worker arena of a stage pool: state one worker
-// goroutine reuses across every job it processes, so steady-state stage
-// work stops allocating per project. It is owned by exactly one goroutine
-// at a time and must never be shared with an abandonable goroutine (see
-// stage.run).
+// workerScratch is the per-shard arena: state one shard goroutine reuses
+// across every job it processes, so steady-state stage work stops
+// allocating per project. It is owned by exactly one goroutine at a time
+// and must never be shared with an abandonable goroutine (see stage.run).
 type workerScratch struct {
 	rc *schema.Reconstructor
 }
@@ -506,7 +486,7 @@ func (ws *workerScratch) release() {
 	}
 }
 
-// stage is one pool's unit of execution: the stage function wrapped in
+// stage is the unit of execution of one pipeline stage: the stage function wrapped in
 // panic recovery and (when configured) the per-project deadline watchdog.
 type stage struct {
 	name    string
@@ -566,7 +546,7 @@ func (s stage) run(j *job, ws *workerScratch) *job {
 			<-finished
 			return j
 		}
-		repl := &job{idx: j.idx, p: j.p, deadline: j.deadline}
+		repl := &job{p: j.p, deadline: j.deadline}
 		s.fail(repl, FailTimeout, fmt.Errorf(
 			"%s stage: exceeded the per-project deadline (%v); worker quarantined", s.name, s.timeout))
 		return repl
@@ -592,34 +572,8 @@ func (s stage) observed(j *job, ws *workerScratch) *job {
 	return j
 }
 
-// resolveShards picks the run's shard count: an explicit Options.Shards
-// wins; otherwise the legacy per-stage worker fields (their maximum, so
-// configurations tuned for the old staged pools keep their parallelism);
-// otherwise GOMAXPROCS. The result is clamped to the project count.
-func resolveShards(opts Options, jobs int) int {
-	s := opts.Shards
-	if s <= 0 {
-		s = max(opts.ParseWorkers, opts.AssembleWorkers, opts.MetricsWorkers)
-	}
-	return clampWorkers(s, jobs)
-}
-
-// shardFor hashes a project name onto a shard (FNV-1a): assignment is
-// deterministic across runs and independent of corpus order.
-func shardFor(name string, shards int) int {
-	const (
-		offset64 uint64 = 14695981039346656037
-		prime64  uint64 = 1099511628211
-	)
-	h := offset64
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= prime64
-	}
-	return int(h % uint64(shards))
-}
-
-// clampWorkers resolves a shard-count request against the job count.
+// clampWorkers resolves a shard-count request against the job count:
+// <= 0 selects GOMAXPROCS, and there are never more shards than jobs.
 func clampWorkers(n, jobs int) int {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)

@@ -57,9 +57,9 @@ func assertSameAnalysis(t *testing.T, label string, want, got *corpus.Corpus) {
 }
 
 // TestPipelineEquivalence is the satellite property test: for several
-// seeds and worker counts, the staged pipeline, the sequential Analyze and
-// the worker-pool AnalyzeParallel must produce identical Measures, Labels
-// and Assigned patterns for every project.
+// seeds and shard counts, the sharded pipeline and the sequential Analyze
+// must produce identical Measures, Labels and Assigned patterns for every
+// project.
 func TestPipelineEquivalence(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5}
 	if testing.Short() {
@@ -72,15 +72,9 @@ func TestPipelineEquivalence(t *testing.T) {
 		if err := seq.Analyze(scheme); err != nil {
 			t.Fatal(err)
 		}
-		par := paperCorpus(t, seed)
-		if err := par.AnalyzeParallel(scheme, 4); err != nil {
-			t.Fatal(err)
-		}
-		assertSameAnalysis(t, "seq vs AnalyzeParallel", seq, par)
 		for _, w := range workerCounts {
 			piped := paperCorpus(t, seed)
-			opts := Options{ParseWorkers: w, AssembleWorkers: w, MetricsWorkers: w}
-			stats, err := Run(context.Background(), piped, opts)
+			stats, err := Run(context.Background(), piped, Options{Shards: w})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, w, err)
 			}
@@ -186,24 +180,29 @@ func goodRepo(name string) *vcs.Repo {
 }
 
 // TestPipelineCollectsAllFailures: with FailFast off, every failing
-// project must be reported, attributed by name, and the healthy projects
-// must still be analyzed.
+// project must be reported, attributed by name, in corpus order, and the
+// healthy projects must still be analyzed.
 func TestPipelineCollectsAllFailures(t *testing.T) {
 	c := &corpus.Corpus{Projects: []*corpus.Project{
-		{Name: "bad-one", Repo: badRepo("bad-one")},
+		{Name: "bad-alpha", Repo: badRepo("bad-alpha")},
 		{Name: "ok-one", Repo: goodRepo("ok-one")},
-		{Name: "bad-two", Repo: badRepo("bad-two")},
+		{Name: "bad-beta", Repo: badRepo("bad-beta")},
 		{Name: "ok-two", Repo: goodRepo("ok-two")},
-		{Name: "bad-three", Repo: badRepo("bad-three")},
+		{Name: "bad-gamma", Repo: badRepo("bad-gamma")},
 	}}
 	stats, err := Run(context.Background(), c, Options{})
 	if err == nil {
 		t.Fatal("expected an error")
 	}
-	for _, name := range []string{"bad-one", "bad-two", "bad-three"} {
-		if !strings.Contains(err.Error(), name) {
+	msg := err.Error()
+	for _, name := range []string{"bad-alpha", "bad-beta", "bad-gamma"} {
+		if !strings.Contains(msg, name) {
 			t.Errorf("error does not mention %q: %v", name, err)
 		}
+	}
+	if a, b, g := strings.Index(msg, "bad-alpha"), strings.Index(msg, "bad-beta"),
+		strings.Index(msg, "bad-gamma"); !(a < b && b < g) {
+		t.Errorf("failures not in corpus order:\n%s", msg)
 	}
 	if stats.Failed != 3 || stats.Analyzed != 2 {
 		t.Errorf("stats = %+v, want 3 failed and 2 analyzed", stats)
@@ -224,7 +223,7 @@ func TestPipelineFailFast(t *testing.T) {
 		projects = append(projects, &corpus.Project{Name: name, Repo: goodRepo(name)})
 	}
 	c := &corpus.Corpus{Projects: projects}
-	stats, err := Run(context.Background(), c, Options{FailFast: true, ParseWorkers: 1, AssembleWorkers: 1, MetricsWorkers: 1})
+	stats, err := Run(context.Background(), c, Options{FailFast: true, Shards: 1})
 	if err == nil {
 		t.Fatal("expected an error")
 	}

@@ -50,8 +50,8 @@ func TestRunTelemetry(t *testing.T) {
 				t.Errorf("%s: stage %s errors = %d", phase, sr.Name, sr.Errors)
 			}
 		}
-		if rep.Stages[0].Workers != int64(stats.ParseWorkers) {
-			t.Errorf("%s: parse workers = %d, want %d", phase, rep.Stages[0].Workers, stats.ParseWorkers)
+		if rep.Stages[0].Workers != int64(stats.Shards) {
+			t.Errorf("%s: parse workers = %d, want %d", phase, rep.Stages[0].Workers, stats.Shards)
 		}
 
 		switch phase {

@@ -226,11 +226,14 @@ func AnalyzeCorpus(c *Corpus) error {
 	return c.Analyze(quantize.DefaultScheme())
 }
 
-// AnalyzeCorpusParallel is AnalyzeCorpus with a bounded worker pool;
-// workers <= 0 selects GOMAXPROCS. Results are identical to the
-// sequential form.
+// AnalyzeCorpusParallel is AnalyzeCorpus run by the pipeline across
+// workers shards; workers <= 0 selects GOMAXPROCS. Results are identical
+// to the sequential form. Unlike AnalyzeCorpus, it does not stop at the
+// first failure: every project is attempted and all failures are returned
+// joined, in corpus order.
 func AnalyzeCorpusParallel(c *Corpus, workers int) error {
-	return c.AnalyzeParallel(quantize.DefaultScheme(), workers)
+	_, err := pipeline.Run(context.Background(), c, pipeline.Options{Shards: workers})
+	return err
 }
 
 // PipelineOptions configures the shard-per-core analysis pipeline:
@@ -244,11 +247,11 @@ type PipelineOptions = pipeline.Options
 type PipelineStats = pipeline.Stats
 
 // AnalyzeCorpusPipeline runs the corpus through the shard-per-core
-// pipeline (parse → assemble → measures/labels per project, projects
-// hashed across shards) with the paper's quantization. Results are
-// identical to AnalyzeCorpus at any shard count; with a cache directory
-// configured, unchanged projects are restored from disk instead of
-// recomputed. All failures are collected and attributed per project
+// pipeline (parse → assemble → measures/labels per project, shards
+// claiming projects from a shared cursor) with the paper's quantization.
+// Results are identical to AnalyzeCorpus at any shard count; with a cache
+// directory configured, unchanged projects are restored from disk instead
+// of recomputed. All failures are collected and attributed per project
 // unless opts.FailFast is set.
 func AnalyzeCorpusPipeline(ctx context.Context, c *Corpus, opts PipelineOptions) (PipelineStats, error) {
 	return pipeline.Run(ctx, c, opts)

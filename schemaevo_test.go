@@ -165,6 +165,35 @@ func TestFacadeCoverage(t *testing.T) {
 	}
 }
 
+// TestAnalyzeCorpusParallelOneWorkerCollectsAll pins that a one-worker run
+// keeps the collect-all contract: it does not stop at the first failure,
+// names every failing project, and still analyzes the healthy ones.
+func TestAnalyzeCorpusParallelOneWorkerCollectsAll(t *testing.T) {
+	noDDL := func(name string) *Repo {
+		return &Repo{Name: name, Commits: []Commit{
+			{ID: "0", Time: day(2020, 1, 1), Files: map[string]string{"x.go": "y"}},
+		}}
+	}
+	ok := flatlinerRepo()
+	c := &Corpus{Projects: []*Project{
+		{Name: "bad-first", Repo: noDDL("bad-first")},
+		{Name: ok.Name, Repo: ok},
+		{Name: "bad-last", Repo: noDDL("bad-last")},
+	}}
+	err := AnalyzeCorpusParallel(c, 1)
+	if err == nil {
+		t.Fatal("expected an error")
+	}
+	for _, name := range []string{"bad-first", "bad-last"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error does not name %q: %v", name, err)
+		}
+	}
+	if !c.Projects[1].Analyzed {
+		t.Errorf("healthy project %q after a failure was not analyzed", ok.Name)
+	}
+}
+
 func TestAnalyzeGitMissingBinaryOrRepo(t *testing.T) {
 	// A directory that is not a git repository must fail cleanly.
 	if _, err := AnalyzeGit(t.TempDir(), 0); err == nil {
