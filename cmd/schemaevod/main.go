@@ -178,6 +178,13 @@ func run(o options) error {
 		return err
 	}
 
+	// Install the signal handler before the address is announced: a
+	// client that reads the line may send SIGTERM at once, and an
+	// unhandled one kills the process without draining the store.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
+
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
@@ -194,8 +201,6 @@ func run(o options) error {
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
 		fmt.Fprintf(os.Stderr, "schemaevod: %v: draining (in-flight %d)\n", sig, srv.InFlight())
