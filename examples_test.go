@@ -22,7 +22,6 @@ func TestExamplesRun(t *testing.T) {
 		{"./examples/patternmining", "Pattern distribution"},
 		{"./examples/predictor", "most likely pattern"},
 		{"./examples/impact", "BROKEN"},
-		{"./examples/nosql", "final implicit schema"},
 	}
 	for _, c := range cases {
 		c := c

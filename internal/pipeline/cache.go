@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"schemaevo/internal/faultinject"
@@ -132,20 +131,16 @@ const (
 // misses, so a crash mid-write or bit-rot can never surface a wrong
 // result. A nil *diskCache is a valid no-op cache.
 type diskCache struct {
-	dir     string
-	fault   *faultinject.Injector
-	tel     *telemetry.Collector
-	ctx     context.Context
-	hits    atomic.Int64
-	misses  atomic.Int64
-	writes  atomic.Int64
-	errs    atomic.Int64
-	corrupt atomic.Int64
+	dir   string
+	fault *faultinject.Injector
+	cnt   *telemetry.Counters // chained to the collector's; holds the run's Stats
+	ctx   context.Context
+	retry func() // the withRetry tap, counting retries
 }
 
 // openCache prepares a cache rooted at dir, creating it if needed. fault
 // optionally injects chaos at the cache.read/cache.write sites; tel
-// optionally records cache telemetry; ctx bounds injected delays.
+// optionally receives the cache counters; ctx bounds injected delays.
 func openCache(dir string, fault *faultinject.Injector, tel *telemetry.Collector, ctx context.Context) (*diskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("pipeline: cache dir: %w", err)
@@ -153,20 +148,12 @@ func openCache(dir string, fault *faultinject.Injector, tel *telemetry.Collector
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c := &diskCache{dir: dir, fault: fault, tel: tel, ctx: ctx}
+	c := &diskCache{dir: dir, fault: fault, cnt: telemetry.NewCounters(tel.Counters()), ctx: ctx}
+	c.retry = func() { c.cnt.Add(telemetry.CacheRetries, 1) }
 	// A restart is the natural moment to age out quarantined entries
 	// left by previous runs.
 	c.reapCorrupt()
 	return c, nil
-}
-
-// onRetry is the withRetry telemetry tap for cache filesystem operations.
-// Returns nil when telemetry is off so the retry loop skips the call.
-func (c *diskCache) onRetry() func() {
-	if c.tel == nil {
-		return nil
-	}
-	return func() { c.tel.CacheRetry() }
 }
 
 func (c *diskCache) path(fingerprint string) string {
@@ -225,7 +212,7 @@ func (c *diskCache) load(fingerprint string) *cacheEntry {
 	}
 	var data []byte
 	var release func()
-	err := withRetry(retryAttempts, retryBackoff, c.onRetry(), func() error {
+	err := withRetry(retryAttempts, retryBackoff, c.retry, func() error {
 		switch c.fault.At("cache.read", fingerprint) {
 		case faultinject.KindErr:
 			return &faultinject.Error{Site: "cache.read", Key: fingerprint}
@@ -238,11 +225,9 @@ func (c *diskCache) load(fingerprint string) *cacheEntry {
 	})
 	if err != nil {
 		if !os.IsNotExist(err) {
-			c.errs.Add(1)
-			c.tel.CacheError()
+			c.cnt.Add(telemetry.CacheErrors, 1)
 		}
-		c.misses.Add(1)
-		c.tel.CacheMiss()
+		c.cnt.Add(telemetry.CacheMisses, 1)
 		return nil
 	}
 	if c.fault.At("cache.read.bytes", fingerprint) == faultinject.KindCorrupt {
@@ -264,27 +249,24 @@ func (c *diskCache) load(fingerprint string) *cacheEntry {
 		if release != nil {
 			release()
 		}
-		c.tel.CacheCorrupt()
 		c.quarantine(fingerprint)
-		c.errs.Add(1)
-		c.tel.CacheError()
-		c.misses.Add(1)
-		c.tel.CacheMiss()
+		c.cnt.Add(telemetry.CacheErrors, 1)
+		c.cnt.Add(telemetry.CacheMisses, 1)
 		return nil
 	}
 	// On the mapped path the entry's strings alias the mapping, which is
 	// deliberately never unmapped from here on (see mapFile).
-	c.hits.Add(1)
-	c.tel.CacheHit(int64(len(data)))
+	c.cnt.Add(telemetry.CacheHits, 1)
+	c.cnt.Add(telemetry.CacheBytesRead, int64(len(data)))
 	return e
 }
 
 // quarantine moves an entry that failed its integrity check into
 // <dir>/corrupt/ so it can be inspected; if the move fails the entry is
 // deleted, because a poisoned file must never be re-read as a hit.
+// CacheCorrupt counts the entry as both corrupt and quarantined.
 func (c *diskCache) quarantine(fingerprint string) {
-	c.corrupt.Add(1)
-	c.tel.CacheQuarantine()
+	c.cnt.Add(telemetry.CacheCorrupt, 1)
 	src := c.path(fingerprint)
 	dir := filepath.Join(c.dir, corruptDirName)
 	if os.MkdirAll(dir, 0o755) == nil {
@@ -324,7 +306,7 @@ func (c *diskCache) reapCorrupt() {
 		}
 		if now.Sub(info.ModTime()) > corruptMaxAge {
 			if os.Remove(filepath.Join(dir, e.Name())) == nil {
-				c.tel.CacheReap()
+				c.cnt.Add(telemetry.CacheReaped, 1)
 			}
 			continue
 		}
@@ -336,7 +318,7 @@ func (c *diskCache) reapCorrupt() {
 	sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
 	for _, f := range files[:len(files)-corruptMaxFiles] {
 		if os.Remove(filepath.Join(dir, f.name)) == nil {
-			c.tel.CacheReap()
+			c.cnt.Add(telemetry.CacheReaped, 1)
 		}
 	}
 }
@@ -359,7 +341,7 @@ func (c *diskCache) store(fingerprint, project string, h *history.History, m met
 		data = append([]byte(nil), data...)
 		c.fault.Mangle(data, fingerprint)
 	}
-	err := withRetry(retryAttempts, retryBackoff, c.onRetry(), func() error {
+	err := withRetry(retryAttempts, retryBackoff, c.retry, func() error {
 		switch c.fault.At("cache.write", fingerprint) {
 		case faultinject.KindErr:
 			return &faultinject.Error{Site: "cache.write", Key: fingerprint}
@@ -369,17 +351,19 @@ func (c *diskCache) store(fingerprint, project string, h *history.History, m met
 		return c.writeAtomic(fingerprint, data)
 	})
 	if err != nil {
-		c.errs.Add(1)
-		c.tel.CacheError()
+		c.cnt.Add(telemetry.CacheErrors, 1)
 		return
 	}
-	c.writes.Add(1)
-	c.tel.CacheWrite(int64(len(data)))
+	c.cnt.Add(telemetry.CacheWrites, 1)
+	c.cnt.Add(telemetry.CacheBytesWritten, int64(len(data)))
 }
 
 // writeAtomic lands data at the entry path via temp file + rename, so
 // concurrent readers see either the old complete entry or the new one,
-// never a torn write.
+// never a torn write. It does not fsync: after a power loss an entry may
+// be empty or torn, but every entry is CRC-sealed, so load quarantines it
+// and the pipeline recomputes it — the cache is an accelerator, never the
+// only copy of a result.
 func (c *diskCache) writeAtomic(fingerprint string, data []byte) error {
 	tmp, err := os.CreateTemp(c.dir, "entry-*.tmp")
 	if err != nil {

@@ -407,11 +407,11 @@ func Run(ctx context.Context, c *corpus.Corpus, opts Options) (Stats, error) {
 	}
 	stats.Failed = len(failures)
 	if cache != nil {
-		stats.CacheHits = int(cache.hits.Load())
-		stats.CacheMisses = int(cache.misses.Load())
-		stats.CacheWrites = int(cache.writes.Load())
-		stats.CacheErrors = int(cache.errs.Load())
-		stats.CacheCorrupt = int(cache.corrupt.Load())
+		stats.CacheHits = int(cache.cnt.Load(telemetry.CacheHits))
+		stats.CacheMisses = int(cache.cnt.Load(telemetry.CacheMisses))
+		stats.CacheWrites = int(cache.cnt.Load(telemetry.CacheWrites))
+		stats.CacheErrors = int(cache.cnt.Load(telemetry.CacheErrors))
+		stats.CacheCorrupt = int(cache.cnt.Load(telemetry.CacheCorrupt))
 	}
 
 	rep := &DegradationReport{Projects: n, ByKind: map[FailureKind]int{}, CacheIncidents: stats.CacheErrors}

@@ -158,7 +158,7 @@ func anomalousEntry(t *testing.T, dir string) *vcs.Repo {
 		t.Fatal(err)
 	}
 	cache.store(Fingerprint(r), r.Name, h, metrics.Compute(h))
-	if cache.writes.Load() != 1 {
+	if cache.cnt.Load(telemetry.CacheWrites) != 1 {
 		t.Fatal("fixture: cache entry was not written")
 	}
 	return r

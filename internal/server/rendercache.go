@@ -141,13 +141,14 @@ func (c *renderCache) get(key string) (renderEntry, bool) {
 	el, ok := s.items[key]
 	if !ok {
 		s.mu.Unlock()
-		c.tel.RenderMiss()
+		c.tel.Add(telemetry.RenderMisses, 1)
 		return renderEntry{}, false
 	}
 	s.ll.MoveToFront(el)
 	e := el.Value.(*renderItem).entry
 	s.mu.Unlock()
-	c.tel.RenderHit(int64(len(e.body)))
+	c.tel.Add(telemetry.RenderHits, 1)
+	c.tel.Add(telemetry.RenderBytesServed, int64(len(e.body)))
 	return e, true
 }
 
@@ -199,10 +200,9 @@ func (c *renderCache) put(key string, epoch uint64, e renderEntry) bool {
 		evicted++
 	}
 	s.mu.Unlock()
-	c.tel.RenderWrite(int64(len(e.body)))
-	for i := 0; i < evicted; i++ {
-		c.tel.RenderEvict()
-	}
+	c.tel.Add(telemetry.RenderWrites, 1)
+	c.tel.Add(telemetry.RenderBytesWritten, int64(len(e.body)))
+	c.tel.Add(telemetry.RenderEvictions, int64(evicted))
 	return true
 }
 
@@ -224,7 +224,7 @@ func (c *renderCache) invalidate(key string) {
 		s.bytes -= int64(len(it.entry.body))
 	}
 	s.mu.Unlock()
-	c.tel.RenderInvalidate()
+	c.tel.Add(telemetry.RenderInvalidations, 1)
 }
 
 // bytes reports the total cached body bytes across shards (for tests and

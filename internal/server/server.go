@@ -851,7 +851,7 @@ func (s *Server) serveRendered(w http.ResponseWriter, r *http.Request, e renderE
 	h.Set("X-Cache", state)
 	h.Set("ETag", e.etag)
 	if conditional && ifNoneMatchSatisfied(r.Header.Get("If-None-Match"), e.etag) {
-		s.tel.RenderNotModified()
+		s.tel.Add(telemetry.RenderNotModified, 1)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -992,7 +992,7 @@ func (s *Server) reanalyze(ctx context.Context, id string) (*pipeline.CachedResu
 		if aerr != nil {
 			return nil, aerr
 		}
-		s.tel.StoreReanalysis()
+		s.tel.Add(telemetry.StoreReanalyses, 1)
 		if perr := s.store.PutResult(id, pipeline.EncodeResult(res)); perr == nil {
 			s.aggPut(id, repo.Name, assignedPattern(res.Measures, s.scheme), "")
 		}

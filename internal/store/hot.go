@@ -3,6 +3,8 @@ package store
 import (
 	"container/list"
 	"sync"
+
+	"schemaevo/internal/telemetry"
 )
 
 // hotTier is the in-memory tier: encoded results keyed by project ID,
@@ -18,9 +20,7 @@ type hotTier struct {
 	bytes      int64
 	order      *list.List // front = most recently used; values are *hotEntry
 	byID       map[string]*list.Element
-
-	evictions int64
-	onEvict   func()
+	cnt        *telemetry.Counters // counts evictions
 }
 
 type hotEntry struct {
@@ -28,7 +28,7 @@ type hotEntry struct {
 	data []byte
 }
 
-func newHotTier(maxEntries int, maxBytes int64, onEvict func()) *hotTier {
+func newHotTier(maxEntries int, maxBytes int64, cnt *telemetry.Counters) *hotTier {
 	if maxEntries < 1 {
 		maxEntries = 1024
 	}
@@ -40,7 +40,7 @@ func newHotTier(maxEntries int, maxBytes int64, onEvict func()) *hotTier {
 		maxBytes:   maxBytes,
 		order:      list.New(),
 		byID:       map[string]*list.Element{},
-		onEvict:    onEvict,
+		cnt:        cnt,
 	}
 }
 
@@ -73,10 +73,7 @@ func (h *hotTier) put(id string, data []byte) {
 		h.order.Remove(cold)
 		delete(h.byID, e.id)
 		h.bytes -= int64(len(e.data))
-		h.evictions++
-		if h.onEvict != nil {
-			h.onEvict()
-		}
+		h.cnt.Add(telemetry.StoreEvictions, 1)
 	}
 }
 
@@ -90,8 +87,8 @@ func (h *hotTier) remove(id string) {
 	}
 }
 
-func (h *hotTier) stats() (entries int, bytes, evictions int64) {
+func (h *hotTier) stats() (entries int, bytes int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.order.Len(), h.bytes, h.evictions
+	return h.order.Len(), h.bytes
 }

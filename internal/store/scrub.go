@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"schemaevo/internal/faultinject"
+	"schemaevo/internal/telemetry"
 )
 
 // ScrubConfig parameterizes a scrub pass (ScrubOnce) or the background
@@ -135,8 +136,7 @@ func (s *Store) ScrubOnce(ctx context.Context, cfg ScrubConfig) ScrubReport {
 		if data, ok := s.hot.get(id); ok {
 			if err := s.PutResult(id, data); err == nil && s.resultReadable(id) {
 				rep.Repaired++
-				s.repairs.Add(1)
-				s.tel.StoreRepair()
+				s.cnt.Add(telemetry.StoreRepairs, 1)
 				continue
 			}
 		}
@@ -149,12 +149,10 @@ func (s *Store) ScrubOnce(ctx context.Context, cfg ScrubConfig) ScrubReport {
 			continue
 		}
 		rep.Repaired++
-		s.repairs.Add(1)
-		s.tel.StoreRepair()
+		s.cnt.Add(telemetry.StoreRepairs, 1)
 	}
 
-	s.scrubPasses.Add(1)
-	s.tel.StoreScrubPass()
+	s.cnt.Add(telemetry.StoreScrubPasses, 1)
 	rep.ReadOnly = s.ReadOnly()
 	return rep
 }
@@ -181,7 +179,7 @@ func (s *Store) verifyEntry(ctx context.Context, sh *shard, id string, rep *Scru
 		s.fault.Sleep(ctx)
 	}
 	if m.src.ok() {
-		s.tel.StoreScrubRecord()
+		s.cnt.Add(telemetry.StoreScrubbedRecords, 1)
 		if _, err := sh.readRecordLocked(m.src); err != nil {
 			s.quarantineLocked(sh, &m.src)
 			rep.Corrupt++
@@ -190,7 +188,7 @@ func (s *Store) verifyEntry(ctx context.Context, sh *shard, id string, rep *Scru
 		}
 	}
 	if m.res.ok() {
-		s.tel.StoreScrubRecord()
+		s.cnt.Add(telemetry.StoreScrubbedRecords, 1)
 		_, err := sh.readRecordLocked(m.res)
 		// Injected latent corruption, keyed by id@seq: a repaired record
 		// carries a new sequence, so the same entry re-rolls instead of

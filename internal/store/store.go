@@ -15,13 +15,16 @@
 // Durability model: records are appended and flushed per operation, with
 // no fsync — the store targets crash-consistency (every record is either
 // wholly readable or quarantined by its frame CRC), not power-loss
-// durability. Liveness is resolved at recovery time by per-name
-// max-sequence: an overwrite simply appends newer records, a delete
-// appends a tombstone, and compaction rewrites a shard keeping live
-// records (at their original sequence numbers) plus any tombstone that
-// still guards the name — a tombstone may outrank stale records of the
-// same name in OTHER shards, so it is only dropped once the name is live
-// again under a newer sequence. See DESIGN.md §11 for the recovery
+// durability. Compaction is the exception: it replaces records that are
+// already on disk, so it fsyncs its replacement file before the rename
+// and the directory after it, and a power loss can never swap those
+// records for an unwritten file. Liveness is resolved at recovery time
+// by per-name max-sequence: an overwrite simply appends newer records, a
+// delete appends a tombstone, and compaction rewrites a shard keeping
+// live records (at their original sequence numbers) plus any tombstone
+// that still guards the name — a tombstone may outrank stale records of
+// the same name in OTHER shards, so it is only dropped once the name is
+// live again under a newer sequence. See DESIGN.md §11 for the recovery
 // invariants.
 package store
 
@@ -148,6 +151,7 @@ type Store struct {
 	shards     []*shard
 	hot        *hotTier
 	tel        *telemetry.Collector
+	cnt        *telemetry.Counters // chained to tel's; holds this store's Stats
 	fault      *faultinject.Injector
 	onCommit   func(id string, seq uint64)
 	compactMin int64
@@ -167,14 +171,6 @@ type Store struct {
 	smu       sync.Mutex
 	scrubStop chan struct{}
 	scrubDone chan struct{}
-
-	quarantined atomic.Int64
-	compactions atomic.Int64
-	flushErrors atomic.Int64
-	scrubPasses atomic.Int64
-	repairs     atomic.Int64
-	roEvents    atomic.Int64
-	diskFulls   atomic.Int64
 }
 
 // roCause records why the store is read-only, so only the matching
@@ -214,8 +210,7 @@ func (s *Store) enterReadOnlyLocked(c roCause) {
 	}
 	s.readOnly.Store(true)
 	s.roCause = c
-	s.roEvents.Add(1)
-	s.tel.StoreReadOnlyEvent()
+	s.cnt.Add(telemetry.StoreReadOnlyEvents, 1)
 	s.tel.SetGauge("store.read_only", 1)
 }
 
@@ -234,8 +229,7 @@ func (s *Store) clearReadOnlyLocked(c roCause) {
 // diskFull records an out-of-space incident and degrades to read-only
 // instead of failing every subsequent write (or crashing the process).
 func (s *Store) diskFull() {
-	s.diskFulls.Add(1)
-	s.tel.StoreDiskFull()
+	s.cnt.Add(telemetry.StoreDiskFullEvents, 1)
 	s.enterReadOnly(roDisk)
 }
 
@@ -264,6 +258,7 @@ func Open(cfg Config) (*Store, error) {
 	s := &Store{
 		dir:        cfg.Dir,
 		tel:        cfg.Telemetry,
+		cnt:        telemetry.NewCounters(cfg.Telemetry.Counters()),
 		fault:      cfg.Fault,
 		onCommit:   cfg.OnCommit,
 		compactMin: cfg.CompactMinBytes,
@@ -272,7 +267,7 @@ func Open(cfg Config) (*Store, error) {
 	if s.compactMin <= 0 {
 		s.compactMin = 1 << 20
 	}
-	s.hot = newHotTier(cfg.HotEntries, cfg.HotBytes, func() { s.tel.StoreEvict() })
+	s.hot = newHotTier(cfg.HotEntries, cfg.HotBytes, s.cnt)
 
 	n := cfg.Shards
 	if n <= 0 {
@@ -350,12 +345,7 @@ func Open(cfg Config) (*Store, error) {
 				base = int64(len(segHeader))
 			}
 			recs, bad := scanRecords(data[base:], base)
-			if bad > 0 {
-				s.quarantined.Add(int64(bad))
-				for i := 0; i < bad; i++ {
-					s.tel.StoreQuarantine()
-				}
-			}
+			s.cnt.Add(telemetry.StoreQuarantined, int64(bad))
 			for _, r := range recs {
 				all = append(all, located{rec: r, shard: i})
 			}
@@ -507,28 +497,30 @@ func (s *Store) LatestID(name string) (string, bool) {
 // source-only, recomputable on demand.
 func (s *Store) Get(id string) (data []byte, tier string, ok bool) {
 	if data, ok := s.hot.get(id); ok {
-		s.tel.StoreHotHit(int64(len(data)))
+		s.cnt.Add(telemetry.StoreHotHits, 1)
+		s.cnt.Add(telemetry.StoreBytesRead, int64(len(data)))
 		return data, "hot", true
 	}
-	s.tel.StoreHotMiss()
+	s.cnt.Add(telemetry.StoreHotMisses, 1)
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	m := sh.byID[id]
 	if m == nil || sh.file == nil || !m.res.ok() {
 		sh.mu.Unlock()
-		s.tel.StoreDiskMiss()
+		s.cnt.Add(telemetry.StoreDiskMisses, 1)
 		return nil, "", false
 	}
 	body, err := sh.readRecordLocked(m.res)
 	if err != nil {
 		s.quarantineLocked(sh, &m.res)
 		sh.mu.Unlock()
-		s.tel.StoreDiskMiss()
+		s.cnt.Add(telemetry.StoreDiskMisses, 1)
 		return nil, "", false
 	}
 	sh.mu.Unlock()
 	s.hot.put(id, body)
-	s.tel.StoreDiskHit(int64(len(body)))
+	s.cnt.Add(telemetry.StoreDiskHits, 1)
+	s.cnt.Add(telemetry.StoreBytesRead, int64(len(body)))
 	return body, "disk", true
 }
 
@@ -563,8 +555,7 @@ func (s *Store) quarantineLocked(sh *shard, r *ref) {
 	sh.garbage += r.total
 	sh.live -= r.total
 	*r = ref{}
-	s.quarantined.Add(1)
-	s.tel.StoreQuarantine()
+	s.cnt.Add(telemetry.StoreQuarantined, 1)
 }
 
 // Put stores one project: the source snapshot and (when known) the
@@ -787,8 +778,7 @@ func (s *Store) flushLocked(sh *shard, key string, buf []byte) error {
 	// degrades to read-only, and the caller must not acknowledge the
 	// write. Previously acked records are untouched.
 	if s.fault.At("store.diskfull", key) == faultinject.KindErr {
-		s.flushErrors.Add(1)
-		s.tel.StoreFlushError()
+		s.cnt.Add(telemetry.StoreFlushErrors, 1)
 		s.diskFull()
 		return fmt.Errorf("store: flush: %w", syscall.ENOSPC)
 	}
@@ -805,8 +795,7 @@ func (s *Store) flushLocked(sh *shard, key string, buf []byte) error {
 		}
 		n, _ := sh.file.WriteAt(buf[:cut], sh.size)
 		sh.size += int64(n)
-		s.flushErrors.Add(1)
-		s.tel.StoreFlushError()
+		s.cnt.Add(telemetry.StoreFlushErrors, 1)
 		return &faultinject.Error{Site: "store.flush", Key: key}
 	case faultinject.KindCorrupt:
 		s.fault.Mangle(buf, key)
@@ -815,16 +804,16 @@ func (s *Store) flushLocked(sh *shard, key string, buf []byte) error {
 	}
 	n, err := sh.file.WriteAt(buf, sh.size)
 	sh.size += int64(n)
-	s.tel.StoreAppend(int64(len(buf)))
+	s.cnt.Add(telemetry.StoreAppends, 1)
+	s.cnt.Add(telemetry.StoreBytesWritten, int64(len(buf)))
 	if err != nil {
-		s.flushErrors.Add(1)
-		s.tel.StoreFlushError()
+		s.cnt.Add(telemetry.StoreFlushErrors, 1)
 		if IsDiskFull(err) {
 			s.diskFull()
 		}
 		return fmt.Errorf("store: flush: %w", err)
 	}
-	s.tel.StoreFlush()
+	s.cnt.Add(telemetry.StoreFlushes, 1)
 	return nil
 }
 
@@ -849,8 +838,9 @@ func (sh *shard) readRecordLocked(r ref) ([]byte, error) {
 // supersede — plus every tombstone still guarding a dead name (stale
 // same-name records may survive in other shards; only the tombstone's
 // higher sequence keeps them dead at recovery). Compaction is crash-safe:
-// the replacement is built in a temp file and renamed over the segment,
-// so a crash leaves either the old or the new file, never a hybrid.
+// the replacement is built and fsynced in a temp file, renamed over the
+// segment, and the rename fsynced, so a crash or power loss leaves either
+// the old or the new file, never a hybrid or an empty one.
 func (s *Store) maybeCompactLocked(sh *shard) {
 	if sh.file == nil || sh.garbage < s.compactMin || sh.garbage < sh.live {
 		return
@@ -925,7 +915,11 @@ func (s *Store) maybeCompactLocked(sh *shard) {
 		tb.bytes = int64(len(buf)) - start
 		sh.tombs[name] = tb
 	}
-	if _, err := tmp.Write(buf); err != nil {
+	_, err = tmp.Write(buf)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if err != nil {
 		tmp.Close()
 		if IsDiskFull(err) {
 			s.diskFull()
@@ -938,6 +932,10 @@ func (s *Store) maybeCompactLocked(sh *shard) {
 	if err := os.Rename(tmp.Name(), sh.path); err != nil {
 		return
 	}
+	// The directory sync makes the rename itself durable. Its error is
+	// dropped: both files are complete on disk, so whichever one a power
+	// cut leaves under the name reads back intact.
+	_ = syncDir(filepath.Dir(sh.path))
 	f, err := os.OpenFile(sh.path, os.O_RDWR, 0o644)
 	if err != nil {
 		// The rename landed but the reopen failed: the shard is now
@@ -954,8 +952,20 @@ func (s *Store) maybeCompactLocked(sh *shard) {
 	for _, mv := range moves {
 		*mv.which = mv.to
 	}
-	s.compactions.Add(1)
-	s.tel.StoreCompaction()
+	s.cnt.Add(telemetry.StoreCompactions, 1)
+}
+
+// syncDir fsyncs a directory, making the renames in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Stats is a point-in-time health snapshot, for tests and debugging.
@@ -985,15 +995,16 @@ type Stats struct {
 // StatsSnapshot gathers Stats across all shards.
 func (s *Store) StatsSnapshot() Stats {
 	var st Stats
-	st.HotEntries, st.HotBytes, st.Evictions = s.hot.stats()
-	st.Quarantined = s.quarantined.Load()
-	st.Compactions = s.compactions.Load()
-	st.FlushErrors = s.flushErrors.Load()
+	st.HotEntries, st.HotBytes = s.hot.stats()
+	st.Evictions = s.cnt.Load(telemetry.StoreEvictions)
+	st.Quarantined = s.cnt.Load(telemetry.StoreQuarantined)
+	st.Compactions = s.cnt.Load(telemetry.StoreCompactions)
+	st.FlushErrors = s.cnt.Load(telemetry.StoreFlushErrors)
 	st.ReadOnly = s.readOnly.Load()
-	st.ReadOnlyEvents = s.roEvents.Load()
-	st.DiskFullEvents = s.diskFulls.Load()
-	st.ScrubPasses = s.scrubPasses.Load()
-	st.Repairs = s.repairs.Load()
+	st.ReadOnlyEvents = s.cnt.Load(telemetry.StoreReadOnlyEvents)
+	st.DiskFullEvents = s.cnt.Load(telemetry.StoreDiskFullEvents)
+	st.ScrubPasses = s.cnt.Load(telemetry.StoreScrubPasses)
+	st.Repairs = s.cnt.Load(telemetry.StoreRepairs)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		st.Entries += len(sh.byID)

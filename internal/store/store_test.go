@@ -233,6 +233,38 @@ func TestHotEvictionFallsThroughToDisk(t *testing.T) {
 	}
 }
 
+// TestStoresShareCollector runs two stores against one collector: each
+// store's Stats count only its own events, and the collector's report
+// counts every event once.
+func TestStoresShareCollector(t *testing.T) {
+	tel := telemetry.New()
+	var stores [2]*Store
+	for i := range stores {
+		s, err := Open(Config{Dir: t.TempDir(), Shards: 1, HotEntries: 1, CompactMinBytes: 1, Telemetry: tel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		stores[i] = s
+	}
+	for v := 1; v <= 10; v++ {
+		mustPut(t, stores[0], entry(0, v))
+	}
+	for v := 1; v <= 30; v++ {
+		mustPut(t, stores[1], entry(v, 1))
+	}
+	a, b := stores[0].StatsSnapshot(), stores[1].StatsSnapshot()
+	if a.Compactions == 0 || b.Evictions == 0 || a.Compactions == b.Compactions || a.Evictions == b.Evictions {
+		t.Fatalf("fixture: compactions %d/%d, evictions %d/%d, want both stores active and different",
+			a.Compactions, b.Compactions, a.Evictions, b.Evictions)
+	}
+	rep := tel.Snapshot().Store
+	if rep.Compactions != a.Compactions+b.Compactions || rep.Evictions != a.Evictions+b.Evictions {
+		t.Fatalf("collector compactions/evictions = %d/%d, want the sums %d/%d",
+			rep.Compactions, rep.Evictions, a.Compactions+b.Compactions, a.Evictions+b.Evictions)
+	}
+}
+
 func TestMemoryModeResultEvictionLeavesSource(t *testing.T) {
 	s, err := Open(Config{Shards: 2, HotEntries: 1})
 	if err != nil {

@@ -24,9 +24,9 @@ func BenchmarkDisabledCacheCounters(b *testing.B) {
 	var c *Collector
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.CacheHit(1024)
-		c.CacheMiss()
-		c.CacheWrite(1024)
+		c.Add(CacheHits, 1)
+		c.Add(CacheBytesRead, 1024)
+		c.Add(CacheMisses, 1)
 	}
 }
 

@@ -158,7 +158,6 @@ func (c *Collector) Snapshot() *Report {
 	r.Gauges = sortedEvents(c.gauges)
 	r.SpanCount = len(c.spans)
 	c.mu.Unlock()
-	r.SpansDropped = c.spansDropped.Load()
 
 	for _, s := range stages {
 		sr := StageReport{
@@ -180,55 +179,17 @@ func (c *Collector) Snapshot() *Report {
 		r.Stages = append(r.Stages, sr)
 	}
 
-	r.Cache = CacheReport{
-		Hits:         c.cacheHits.Load(),
-		Misses:       c.cacheMisses.Load(),
-		Writes:       c.cacheWrites.Load(),
-		Errors:       c.cacheErrors.Load(),
-		Corrupt:      c.cacheCorrupt.Load(),
-		Retries:      c.cacheRetries.Load(),
-		Quarantined:  c.cacheQuarant.Load(),
-		Reaped:       c.cacheReaped.Load(),
-		BytesRead:    c.cacheBytesIn.Load(),
-		BytesWritten: c.cacheBytesOut.Load(),
+	for k, row := range counterTable {
+		v := c.counters.Load(Counter(k))
+		for _, f := range row.fields {
+			*f(r) = v
+		}
 	}
 	if probes := r.Cache.Hits + r.Cache.Misses; probes > 0 {
 		r.Cache.HitRate = float64(r.Cache.Hits) / float64(probes)
 	}
-
-	r.Store = StoreReport{
-		HotHits:         c.storeHotHits.Load(),
-		HotMisses:       c.storeHotMisses.Load(),
-		DiskHits:        c.storeDiskHits.Load(),
-		DiskMisses:      c.storeDiskMisses.Load(),
-		Appends:         c.storeAppends.Load(),
-		Flushes:         c.storeFlushes.Load(),
-		FlushErrors:     c.storeFlushErrors.Load(),
-		Compactions:     c.storeCompactions.Load(),
-		Quarantined:     c.storeQuarant.Load(),
-		Evictions:       c.storeEvictions.Load(),
-		Reanalyses:      c.storeReanalyses.Load(),
-		ScrubPasses:     c.storeScrubPasses.Load(),
-		ScrubbedRecords: c.storeScrubbed.Load(),
-		Repairs:         c.storeRepairs.Load(),
-		DiskFullEvents:  c.storeDiskFull.Load(),
-		ReadOnlyEvents:  c.storeReadOnly.Load(),
-		BytesRead:       c.storeBytesIn.Load(),
-		BytesWritten:    c.storeBytesOut.Load(),
-	}
 	if hits := r.Store.HotHits + r.Store.DiskHits; hits+r.Store.DiskMisses > 0 {
 		r.Store.HitRate = float64(hits) / float64(hits+r.Store.DiskMisses)
-	}
-
-	r.Render = RenderReport{
-		Hits:          c.renderHits.Load(),
-		Misses:        c.renderMisses.Load(),
-		Writes:        c.renderWrites.Load(),
-		Invalidations: c.renderInvalidates.Load(),
-		Evictions:     c.renderEvictions.Load(),
-		NotModified:   c.renderNotModified.Load(),
-		BytesServed:   c.renderBytesIn.Load(),
-		BytesWritten:  c.renderBytesOut.Load(),
 	}
 	if probes := r.Render.Hits + r.Render.Misses; probes > 0 {
 		r.Render.HitRate = float64(r.Render.Hits) / float64(probes)

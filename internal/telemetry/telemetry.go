@@ -1,7 +1,8 @@
 // Package telemetry is the toolchain's zero-dependency observability
 // layer: per-stage counters and duration histograms, queue-wait and
-// worker-occupancy tracking, cache effectiveness counters, fault and
-// degradation event tallies, and span-style per-project traces.
+// worker-occupancy tracking, the cache, store and render event counters
+// of one declarative table (counters.go), fault and degradation event
+// tallies, and span-style per-project traces.
 //
 // The design contract is that disabled telemetry costs nothing on the hot
 // path: a nil *Collector (and the nil *Stage handles it hands out) is a
@@ -11,7 +12,8 @@
 // operations are single atomic adds (plus one mutex-guarded append per
 // span, which happens once per project per stage, far off the per-byte
 // paths). BenchmarkDisabled* pins the disabled-path cost at the
-// single-nil-check floor.
+// single-nil-check floor; TestAllocBudgetTelemetry holds it, and every
+// counter Add, at zero allocations.
 //
 // A Collector is scoped to one run. Wire it through pipeline.Options,
 // read the results with Snapshot (a Report with stable, documented field
@@ -169,46 +171,7 @@ type Collector struct {
 	gauges  map[string]int64
 	spans   []Span
 
-	spansDropped atomic.Int64
-
-	cacheHits     atomic.Int64
-	cacheMisses   atomic.Int64
-	cacheWrites   atomic.Int64
-	cacheErrors   atomic.Int64
-	cacheCorrupt  atomic.Int64
-	cacheRetries  atomic.Int64
-	cacheQuarant  atomic.Int64
-	cacheReaped   atomic.Int64
-	cacheBytesIn  atomic.Int64
-	cacheBytesOut atomic.Int64
-
-	storeHotHits     atomic.Int64
-	storeHotMisses   atomic.Int64
-	storeDiskHits    atomic.Int64
-	storeDiskMisses  atomic.Int64
-	storeAppends     atomic.Int64
-	storeFlushes     atomic.Int64
-	storeFlushErrors atomic.Int64
-	storeCompactions atomic.Int64
-	storeQuarant     atomic.Int64
-	storeEvictions   atomic.Int64
-	storeReanalyses  atomic.Int64
-	storeScrubPasses atomic.Int64
-	storeScrubbed    atomic.Int64
-	storeRepairs     atomic.Int64
-	storeDiskFull    atomic.Int64
-	storeReadOnly    atomic.Int64
-	storeBytesIn     atomic.Int64
-	storeBytesOut    atomic.Int64
-
-	renderHits        atomic.Int64
-	renderMisses      atomic.Int64
-	renderWrites      atomic.Int64
-	renderInvalidates atomic.Int64
-	renderEvictions   atomic.Int64
-	renderNotModified atomic.Int64
-	renderBytesIn     atomic.Int64
-	renderBytesOut    atomic.Int64
+	counters Counters
 }
 
 // New returns a collector anchored at the current time.
@@ -241,272 +204,21 @@ func (c *Collector) Stage(name string) *Stage {
 	return s
 }
 
-// CacheHit records a cache hit serving n bytes. Nil-safe.
-func (c *Collector) CacheHit(n int64) {
+// Add adds n to counter k. Nil-safe.
+func (c *Collector) Add(k Counter, n int64) {
 	if c == nil {
 		return
 	}
-	c.cacheHits.Add(1)
-	c.cacheBytesIn.Add(n)
+	c.counters.Add(k, n)
 }
 
-// CacheMiss records a cache miss. Nil-safe.
-func (c *Collector) CacheMiss() {
+// Counters returns the collector's own block, the parent to chain a
+// component's block to with NewCounters. A nil collector returns nil.
+func (c *Collector) Counters() *Counters {
 	if c == nil {
-		return
+		return nil
 	}
-	c.cacheMisses.Add(1)
-}
-
-// CacheWrite records a successful entry write of n bytes. Nil-safe.
-func (c *Collector) CacheWrite(n int64) {
-	if c == nil {
-		return
-	}
-	c.cacheWrites.Add(1)
-	c.cacheBytesOut.Add(n)
-}
-
-// CacheError records an unhealthy cache incident (unreadable entry,
-// failed write). Nil-safe.
-func (c *Collector) CacheError() {
-	if c == nil {
-		return
-	}
-	c.cacheErrors.Add(1)
-}
-
-// CacheCorrupt records an entry that failed its integrity check. Nil-safe.
-func (c *Collector) CacheCorrupt() {
-	if c == nil {
-		return
-	}
-	c.cacheCorrupt.Add(1)
-}
-
-// CacheRetry records one retry of a cache filesystem operation. Nil-safe.
-func (c *Collector) CacheRetry() {
-	if c == nil {
-		return
-	}
-	c.cacheRetries.Add(1)
-}
-
-// CacheQuarantine records an entry moved to the corrupt/ directory.
-// Nil-safe.
-func (c *Collector) CacheQuarantine() {
-	if c == nil {
-		return
-	}
-	c.cacheQuarant.Add(1)
-}
-
-// CacheReap records a quarantined corrupt/ file reaped by the retention
-// cap (too many, or too old). Nil-safe.
-func (c *Collector) CacheReap() {
-	if c == nil {
-		return
-	}
-	c.cacheReaped.Add(1)
-}
-
-// StoreHotHit records a result-store hit served from the in-memory hot
-// tier, n bytes. Nil-safe.
-func (c *Collector) StoreHotHit(n int64) {
-	if c == nil {
-		return
-	}
-	c.storeHotHits.Add(1)
-	c.storeBytesIn.Add(n)
-}
-
-// StoreHotMiss records a hot-tier miss (the lookup continues to the disk
-// tier when one is configured). Nil-safe.
-func (c *Collector) StoreHotMiss() {
-	if c == nil {
-		return
-	}
-	c.storeHotMisses.Add(1)
-}
-
-// StoreDiskHit records a result-store hit served from the disk tier,
-// n bytes. Nil-safe.
-func (c *Collector) StoreDiskHit(n int64) {
-	if c == nil {
-		return
-	}
-	c.storeDiskHits.Add(1)
-	c.storeBytesIn.Add(n)
-}
-
-// StoreDiskMiss records a store lookup that missed every tier. Nil-safe.
-func (c *Collector) StoreDiskMiss() {
-	if c == nil {
-		return
-	}
-	c.storeDiskMisses.Add(1)
-}
-
-// StoreAppend records one record of n bytes appended to a segment file
-// (still buffered until the next flush). Nil-safe.
-func (c *Collector) StoreAppend(n int64) {
-	if c == nil {
-		return
-	}
-	c.storeAppends.Add(1)
-	c.storeBytesOut.Add(n)
-}
-
-// StoreFlush records one successful segment flush. Nil-safe.
-func (c *Collector) StoreFlush() {
-	if c == nil {
-		return
-	}
-	c.storeFlushes.Add(1)
-}
-
-// StoreFlushError records a failed (possibly torn) segment flush. Nil-safe.
-func (c *Collector) StoreFlushError() {
-	if c == nil {
-		return
-	}
-	c.storeFlushErrors.Add(1)
-}
-
-// StoreCompaction records one shard compaction. Nil-safe.
-func (c *Collector) StoreCompaction() {
-	if c == nil {
-		return
-	}
-	c.storeCompactions.Add(1)
-}
-
-// StoreQuarantine records a store record that failed its integrity check
-// and was quarantined (skipped, its entry served from elsewhere or marked
-// for re-analysis). Nil-safe.
-func (c *Collector) StoreQuarantine() {
-	if c == nil {
-		return
-	}
-	c.storeQuarant.Add(1)
-}
-
-// StoreEvict records a hot-tier eviction. Nil-safe.
-func (c *Collector) StoreEvict() {
-	if c == nil {
-		return
-	}
-	c.storeEvictions.Add(1)
-}
-
-// StoreReanalysis records a project recomputed from its persisted source
-// snapshot because its stored result was evicted or quarantined. Nil-safe.
-func (c *Collector) StoreReanalysis() {
-	if c == nil {
-		return
-	}
-	c.storeReanalyses.Add(1)
-}
-
-// StoreScrubPass records one completed scrubber pass over every shard.
-// Nil-safe.
-func (c *Collector) StoreScrubPass() {
-	if c == nil {
-		return
-	}
-	c.storeScrubPasses.Add(1)
-}
-
-// StoreScrubRecord records one record proactively CRC-verified by the
-// scrubber (clean or not). Nil-safe.
-func (c *Collector) StoreScrubRecord() {
-	if c == nil {
-		return
-	}
-	c.storeScrubbed.Add(1)
-}
-
-// StoreRepair records one quarantined entry restored to service by the
-// scrubber's repair callback. Nil-safe.
-func (c *Collector) StoreRepair() {
-	if c == nil {
-		return
-	}
-	c.storeRepairs.Add(1)
-}
-
-// StoreDiskFull records one ENOSPC (or injected equivalent) observed on
-// the segment write path. Nil-safe.
-func (c *Collector) StoreDiskFull() {
-	if c == nil {
-		return
-	}
-	c.storeDiskFull.Add(1)
-}
-
-// StoreReadOnlyEvent records one transition of the store into read-only
-// mode. Nil-safe.
-func (c *Collector) StoreReadOnlyEvent() {
-	if c == nil {
-		return
-	}
-	c.storeReadOnly.Add(1)
-}
-
-// RenderHit records a pre-rendered response body served straight from
-// the render cache, n body bytes. Nil-safe.
-func (c *Collector) RenderHit(n int64) {
-	if c == nil {
-		return
-	}
-	c.renderHits.Add(1)
-	c.renderBytesIn.Add(n)
-}
-
-// RenderMiss records a render-cache lookup that found no live entry (the
-// body is rendered and, epoch permitting, inserted). Nil-safe.
-func (c *Collector) RenderMiss() {
-	if c == nil {
-		return
-	}
-	c.renderMisses.Add(1)
-}
-
-// RenderWrite records one rendered body of n bytes inserted into the
-// render cache. Nil-safe.
-func (c *Collector) RenderWrite(n int64) {
-	if c == nil {
-		return
-	}
-	c.renderWrites.Add(1)
-	c.renderBytesOut.Add(n)
-}
-
-// RenderInvalidate records one render-cache invalidation (overwrite,
-// delete, or re-analysis commit bumping the key's epoch). Nil-safe.
-func (c *Collector) RenderInvalidate() {
-	if c == nil {
-		return
-	}
-	c.renderInvalidates.Add(1)
-}
-
-// RenderEvict records one rendered body evicted by the byte budget.
-// Nil-safe.
-func (c *Collector) RenderEvict() {
-	if c == nil {
-		return
-	}
-	c.renderEvictions.Add(1)
-}
-
-// RenderNotModified records one conditional GET answered 304 with zero
-// body bytes. Nil-safe.
-func (c *Collector) RenderNotModified() {
-	if c == nil {
-		return
-	}
-	c.renderNotModified.Add(1)
+	return &c.counters
 }
 
 // SetGauge records the current value of a named gauge (health state,
@@ -559,7 +271,7 @@ func (c *Collector) RecordSpan(project, stage string, start time.Time, d time.Du
 	c.mu.Lock()
 	if len(c.spans) >= c.spanCap {
 		c.mu.Unlock()
-		c.spansDropped.Add(1)
+		c.counters.Add(SpansDropped, 1)
 		return
 	}
 	c.spans = append(c.spans, sp)

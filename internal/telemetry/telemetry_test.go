@@ -26,24 +26,12 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	s.Enter()
 	s.Exit()
 	s.Observe(time.Millisecond, time.Millisecond, true)
-	c.CacheHit(100)
-	c.CacheMiss()
-	c.CacheWrite(200)
-	c.CacheError()
-	c.CacheCorrupt()
-	c.CacheRetry()
-	c.CacheQuarantine()
-	c.StoreHotHit(10)
-	c.StoreHotMiss()
-	c.StoreDiskHit(20)
-	c.StoreDiskMiss()
-	c.StoreAppend(30)
-	c.StoreFlush()
-	c.StoreFlushError()
-	c.StoreCompaction()
-	c.StoreQuarantine()
-	c.StoreEvict()
-	c.StoreReanalysis()
+	for k := Counter(0); k < numCounters; k++ {
+		c.Add(k, 1)
+	}
+	if c.Counters() != nil {
+		t.Fatal("nil collector returned a non-nil counter block")
+	}
 	c.Fault("site", "kind")
 	c.Degradation("parse")
 	c.RecordSpan("p", "parse", time.Now(), time.Millisecond, false)
@@ -139,15 +127,14 @@ func TestStageRegistrationOrder(t *testing.T) {
 // sorted fault/degradation tallies.
 func TestCacheAndEventCounters(t *testing.T) {
 	c := New()
-	for i := 0; i < 3; i++ {
-		c.CacheHit(100)
-	}
-	c.CacheMiss()
-	c.CacheWrite(400)
-	c.CacheError()
-	c.CacheCorrupt()
-	c.CacheRetry()
-	c.CacheQuarantine()
+	c.Add(CacheHits, 3)
+	c.Add(CacheBytesRead, 300)
+	c.Add(CacheMisses, 1)
+	c.Add(CacheWrites, 1)
+	c.Add(CacheBytesWritten, 400)
+	c.Add(CacheErrors, 1)
+	c.Add(CacheCorrupt, 1)
+	c.Add(CacheRetries, 1)
 	c.Fault("cache.read", "io-error")
 	c.Fault("cache.read", "io-error")
 	c.Fault("pipeline.parse", "panic")
@@ -179,20 +166,19 @@ func TestCacheAndEventCounters(t *testing.T) {
 // not misses of the store).
 func TestStoreCounters(t *testing.T) {
 	c := New()
-	c.StoreHotHit(100)
-	c.StoreHotHit(100)
-	c.StoreHotMiss()
-	c.StoreDiskHit(300)
-	c.StoreHotMiss()
-	c.StoreDiskMiss()
-	c.StoreAppend(500)
-	c.StoreAppend(250)
-	c.StoreFlush()
-	c.StoreFlushError()
-	c.StoreCompaction()
-	c.StoreQuarantine()
-	c.StoreEvict()
-	c.StoreReanalysis()
+	c.Add(StoreHotHits, 2)
+	c.Add(StoreHotMisses, 2)
+	c.Add(StoreDiskHits, 1)
+	c.Add(StoreDiskMisses, 1)
+	c.Add(StoreBytesRead, 500)
+	c.Add(StoreAppends, 2)
+	c.Add(StoreBytesWritten, 750)
+	c.Add(StoreFlushes, 1)
+	c.Add(StoreFlushErrors, 1)
+	c.Add(StoreCompactions, 1)
+	c.Add(StoreQuarantined, 1)
+	c.Add(StoreEvictions, 1)
+	c.Add(StoreReanalyses, 1)
 
 	sr := c.Snapshot().Store
 	if sr.HotHits != 2 || sr.HotMisses != 2 || sr.DiskHits != 1 || sr.DiskMisses != 1 {
@@ -261,7 +247,7 @@ func TestReportShapeStable(t *testing.T) {
 	a.Stage("parse").Observe(0, time.Millisecond, false)
 	b := New()
 	b.Stage("parse")
-	b.CacheHit(1)
+	b.Add(CacheHits, 1)
 	b.Fault("x", "y") // faults list length may differ; keys inside entries must not
 
 	keysOf := func(rep *Report) string {
