@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+	"unsafe"
 
 	"schemaevo/internal/faultinject"
 	"schemaevo/internal/history"
@@ -23,7 +24,7 @@ import (
 // the memoized computation changes; entries with another version are
 // treated as misses. Version 2 switched the entry body from JSON to a
 // binary codec; version 3 added the whole-file CRC-32C integrity trailer;
-// version 4 replaced the decode-loop layout with the flat, mmap-friendly
+// version 4 replaced the decode-loop layout with the flat, zero-copy
 // format in flatcodec.go (string arena + deduplicated table pool);
 // version 5 widened the flat header to 32 bytes with the history's SQL
 // dialect tag and made the dialect part of the fingerprint.
@@ -61,16 +62,19 @@ func FingerprintDialect(r *vcs.Repo, dialect string) string {
 	}
 	writeStr := func(s string) {
 		writeInt(int64(len(s)))
-		h.Write([]byte(s))
+		// sha256 neither keeps nor writes its input, so the string's own
+		// bytes can be hashed without the copy []byte(s) would make.
+		h.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
 	}
 	writeInt(cacheFormatVersion)
 	writeStr(dialect)
 	writeStr(r.Name)
 	writeInt(int64(len(r.Commits)))
+	var paths, deleted []string // reused across commits
 	for _, c := range r.Commits {
 		writeInt(c.Time.UnixNano())
 		writeInt(int64(c.SrcLines))
-		paths := make([]string, 0, len(c.Files))
+		paths = paths[:0]
 		for p := range c.Files {
 			if vcs.IsDDLPath(p) {
 				paths = append(paths, p)
@@ -82,7 +86,7 @@ func FingerprintDialect(r *vcs.Repo, dialect string) string {
 			writeStr(p)
 			writeStr(c.Files[p])
 		}
-		var deleted []string
+		deleted = deleted[:0]
 		for _, p := range c.Deleted {
 			if vcs.IsDDLPath(p) {
 				deleted = append(deleted, p)
@@ -183,35 +187,16 @@ func unseal(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// readEntryFile reads one cache entry image, preferring a read-only
-// memory mapping so the flat decoder can return zero-copy views over the
-// file; platforms (or files, e.g. empty ones) where mapping fails fall
-// back to an ordinary read, which decodes byte-identically. The release
-// function is non-nil only for mappings and must be called on every path
-// that does not publish a decoded entry; published entries pin their
-// mapping for the life of the process (see mapFile).
-func readEntryFile(path string) ([]byte, func(), error) {
-	data, release, err := mapFile(path)
-	if err == nil {
-		return data, release, nil
-	}
-	if os.IsNotExist(err) {
-		return nil, nil, err
-	}
-	b, rerr := os.ReadFile(path)
-	return b, nil, rerr
-}
-
 // load returns the memoized entry for the fingerprint, or nil on a miss.
 // Unreadable files are retried, then count as misses plus cache errors;
 // entries failing the checksum or decode are quarantined for inspection
 // and count as misses — never as failures: the pipeline just recomputes.
+// A hit's strings are views into the buffer read here (see flatcodec.go).
 func (c *diskCache) load(fingerprint string) *cacheEntry {
 	if c == nil {
 		return nil
 	}
 	var data []byte
-	var release func()
 	err := withRetry(retryAttempts, retryBackoff, c.retry, func() error {
 		switch c.fault.At("cache.read", fingerprint) {
 		case faultinject.KindErr:
@@ -220,7 +205,7 @@ func (c *diskCache) load(fingerprint string) *cacheEntry {
 			c.fault.Sleep(c.ctx)
 		}
 		var rerr error
-		data, release, rerr = readEntryFile(c.path(fingerprint))
+		data, rerr = os.ReadFile(c.path(fingerprint))
 		return rerr
 	})
 	if err != nil {
@@ -231,13 +216,8 @@ func (c *diskCache) load(fingerprint string) *cacheEntry {
 		return nil
 	}
 	if c.fault.At("cache.read.bytes", fingerprint) == faultinject.KindCorrupt {
-		// Mangle a private copy: a mapping is read-only memory, and the
-		// original file must stay intact for quarantine to preserve it.
-		data = append([]byte(nil), data...)
-		if release != nil {
-			release()
-			release = nil
-		}
+		// data is this load's private copy, so mangling it leaves the
+		// file intact for quarantine to preserve.
 		c.fault.Mangle(data, fingerprint)
 	}
 	payload, err := unseal(data)
@@ -246,16 +226,11 @@ func (c *diskCache) load(fingerprint string) *cacheEntry {
 		e, err = decodeEntry(payload)
 	}
 	if err != nil || e.Version != cacheFormatVersion || e.Fingerprint != fingerprint {
-		if release != nil {
-			release()
-		}
 		c.quarantine(fingerprint)
 		c.cnt.Add(telemetry.CacheErrors, 1)
 		c.cnt.Add(telemetry.CacheMisses, 1)
 		return nil
 	}
-	// On the mapped path the entry's strings alias the mapping, which is
-	// deliberately never unmapped from here on (see mapFile).
 	c.cnt.Add(telemetry.CacheHits, 1)
 	c.cnt.Add(telemetry.CacheBytesRead, int64(len(data)))
 	return e

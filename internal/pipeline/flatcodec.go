@@ -14,7 +14,7 @@ import (
 	"schemaevo/internal/sqlddl"
 )
 
-// Cache entries are persisted in a flat, mmap-friendly binary format:
+// Cache entries are persisted in a flat, zero-copy binary format:
 //
 //	[0:4]   magic "SEVF"
 //	[4:8]   u32 format version (must equal cacheFormatVersion)
@@ -35,11 +35,12 @@ import (
 // u32 (0 = nil, n+1 otherwise, mirroring the variable-width codec), and
 // every string an 8-byte (offset, length) reference into the arena. A
 // decoded entry therefore allocates no per-string memory at all: strings
-// are bounds-checked views over the arena (unsafe.String), which for a
-// memory-mapped file means views over the mapping itself. The arena is
+// are bounds-checked views over the arena (unsafe.String). The arena is
 // deduplicated — each distinct string is stored once — and the decoder
-// never copies it, so the backing buffer must outlive the decoded entry
-// (see mmap_unix.go for the mapping-lifetime contract).
+// never copies it, so the backing buffer must outlive the decoded entry.
+// The cache reads each entry into a heap buffer of its own, and the views
+// keep that buffer reachable, so the GC frees it with the last decoded
+// string that uses it.
 //
 // The predecessor format re-encoded every version's full table list, so a
 // warm decode allocated every table fresh even though cold assembly shares
@@ -737,8 +738,8 @@ func (d *flatDec) measures() metrics.Measures {
 
 // decodeEntry deserializes a flat cache entry, failing on any truncation,
 // trailing garbage, version mismatch, or magic/bounds violation. Strings
-// in the returned entry alias data; the caller must not mutate or unmap
-// the buffer while the entry is reachable.
+// in the returned entry alias data; the caller must not mutate the buffer
+// while the entry is reachable.
 func decodeEntry(data []byte) (*cacheEntry, error) {
 	if len(data) < flatHeaderSize || string(data[0:4]) != string(flatMagic[:]) {
 		return nil, errCorruptEntry
