@@ -126,12 +126,14 @@ func appendJSONBool(dst []byte, v bool) []byte {
 	return append(dst, "false"...)
 }
 
-// Indentation prefixes for MarshalIndent(v, "", "  ") depths 1..3. The
-// wire documents nest at most three levels deep.
+// Indentation prefixes for MarshalIndent(v, "", "  ") depths 1..5. The
+// patterns document nests deepest, at five levels.
 const (
 	ind1 = "\n  "
 	ind2 = "\n    "
 	ind3 = "\n      "
+	ind4 = "\n        "
+	ind5 = "\n          "
 )
 
 // appendProjectWire renders the projectWire body — byte-identical to
@@ -269,57 +271,82 @@ func appendCorpusStatsWire(dst []byte, w *corpusStatsWire) []byte {
 	return append(dst, "\n}\n"...)
 }
 
+// The patterns document renders from pieces, so the live aggregate
+// index (aggregate.go) can cache one section per pattern group and join
+// them: the document head, each group's head, its members' array
+// elements, its tail, and the document tail. appendCorpusPatternsWire
+// composes the same pieces over a whole corpusPatternsWire, which the
+// reflection tests pin.
+
 // appendCorpusPatternsWire renders the corpusPatternsWire body,
 // byte-identical to json.MarshalIndent plus a trailing newline.
 func appendCorpusPatternsWire(dst []byte, w *corpusPatternsWire) []byte {
-	const (
-		ind4 = "\n        "
-		ind5 = "\n          "
-	)
-	dst = append(dst, '{')
-	dst = append(dst, ind1+`"schema_version": `...)
-	dst = strconv.AppendInt(dst, int64(w.SchemaVersion), 10)
-	dst = append(dst, ","+ind1+`"groups": `...)
-	if len(w.Groups) == 0 {
-		dst = append(dst, "[]"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range w.Groups {
-			if i > 0 {
+	dst = appendPatternsHead(dst, w.SchemaVersion)
+	for i := range w.Groups {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		g := &w.Groups[i]
+		dst = appendPatternGroupHead(dst, g.Pattern, g.Family, g.Count)
+		for j := range g.Projects {
+			if j > 0 {
 				dst = append(dst, ',')
 			}
-			g := &w.Groups[i]
-			dst = append(dst, ind2+"{"...)
-			dst = append(dst, ind3+`"pattern": `...)
-			dst = appendJSONString(dst, g.Pattern)
-			dst = append(dst, ","+ind3+`"family": `...)
-			dst = appendJSONString(dst, g.Family)
-			dst = append(dst, ","+ind3+`"count": `...)
-			dst = strconv.AppendInt(dst, int64(g.Count), 10)
-			dst = append(dst, ","+ind3+`"projects": `...)
-			if len(g.Projects) == 0 {
-				dst = append(dst, "[]"...)
-			} else {
-				dst = append(dst, '[')
-				for j := range g.Projects {
-					if j > 0 {
-						dst = append(dst, ',')
-					}
-					r := &g.Projects[j]
-					dst = append(dst, ind4+"{"...)
-					dst = append(dst, ind5+`"name": `...)
-					dst = appendJSONString(dst, r.Name)
-					dst = append(dst, ","+ind5+`"id": `...)
-					dst = appendJSONString(dst, r.ID)
-					dst = append(dst, ind4+"}"...)
-				}
-				dst = append(dst, ind3+"]"...)
-			}
-			dst = append(dst, ind2+"}"...)
+			dst = appendProjectRefWire(dst, g.Projects[j].Name, g.Projects[j].ID)
 		}
-		dst = append(dst, ind1+"]"...)
+		dst = appendPatternGroupTail(dst, len(g.Projects))
 	}
-	return append(dst, "\n}\n"...)
+	return appendPatternsTail(dst, len(w.Groups))
+}
+
+// appendPatternsHead renders the patterns document up to and including
+// the opening bracket of its groups array.
+func appendPatternsHead(dst []byte, schemaVersion int) []byte {
+	dst = append(dst, '{')
+	dst = append(dst, ind1+`"schema_version": `...)
+	dst = strconv.AppendInt(dst, int64(schemaVersion), 10)
+	return append(dst, ","+ind1+`"groups": [`...)
+}
+
+// appendPatternsTail closes a patterns document holding groups groups.
+func appendPatternsTail(dst []byte, groups int) []byte {
+	if groups == 0 {
+		return append(dst, "]\n}\n"...)
+	}
+	return append(dst, ind1+"]\n}\n"...)
+}
+
+// appendPatternGroupHead renders one group object up to and including
+// the opening bracket of its projects array.
+func appendPatternGroupHead(dst []byte, pattern, family string, count int) []byte {
+	dst = append(dst, ind2+"{"...)
+	dst = append(dst, ind3+`"pattern": `...)
+	dst = appendJSONString(dst, pattern)
+	dst = append(dst, ","+ind3+`"family": `...)
+	dst = appendJSONString(dst, family)
+	dst = append(dst, ","+ind3+`"count": `...)
+	dst = strconv.AppendInt(dst, int64(count), 10)
+	return append(dst, ","+ind3+`"projects": [`...)
+}
+
+// appendPatternGroupTail closes a group whose projects array holds n
+// elements.
+func appendPatternGroupTail(dst []byte, n int) []byte {
+	if n == 0 {
+		return append(dst, "]"+ind2+"}"...)
+	}
+	return append(dst, ind3+"]"+ind2+"}"...)
+}
+
+// appendProjectRefWire renders one element of a group's projects array
+// (without the separating comma).
+func appendProjectRefWire(dst []byte, name, id string) []byte {
+	dst = append(dst, ind4+"{"...)
+	dst = append(dst, ind5+`"name": `...)
+	dst = appendJSONString(dst, name)
+	dst = append(dst, ","+ind5+`"id": `...)
+	dst = appendJSONString(dst, id)
+	return append(dst, ind4+"}"...)
 }
 
 // appendBatchLineWire renders one compact batch NDJSON result line plus

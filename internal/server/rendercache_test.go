@@ -8,8 +8,6 @@ import (
 	"regexp"
 	"testing"
 
-	"schemaevo/internal/core"
-	"schemaevo/internal/store"
 	"schemaevo/internal/synth"
 )
 
@@ -167,7 +165,7 @@ func newAllocServer(t *testing.T) *Server {
 // Content-Length itoa), and a 304 strictly fewer.
 func TestCachedReadAllocs(t *testing.T) {
 	s := newAllocServer(t)
-	id := s.corpusMembers[0].id
+	id := corpusMembers(s)[0].id
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/projects/"+id, nil)
 	req.SetPathValue("id", id)
@@ -196,82 +194,4 @@ func TestCachedReadAllocs(t *testing.T) {
 	if got := measure(cond); got > 10 {
 		t.Errorf("conditional GET allocates %.1f per request, budget is 10", got)
 	}
-}
-
-// TestAggregateDifferential drives the incremental aggregate tally
-// through overwrites and re-puts and requires the rendered documents to
-// stay byte-identical to a from-scratch rebuild over the live
-// membership — the incremental path may never drift from the
-// recomputed truth.
-func TestAggregateDifferential(t *testing.T) {
-	s := newAllocServer(t)
-
-	check := func(step string) {
-		t.Helper()
-		members := append(append([]member{}, s.corpusMembers...), s.aggMembers()...)
-		s.aggMu.Lock()
-		live := len(s.agg)
-		s.aggMu.Unlock()
-		full := buildCorpusStats(s.corpus.Len()+live, members)
-		wantStats := appendCorpusStatsWire(nil, &full)
-		if got := s.statsRendered(); string(got.body) != string(wantStats) {
-			t.Fatalf("%s: incremental stats drifted from rebuild\n--- got ---\n%s\n--- want ---\n%s", step, got.body, wantStats)
-		}
-		fullPats := buildCorpusPatterns(members)
-		wantPats := appendCorpusPatternsWire(nil, &fullPats)
-		if got := s.patternsRendered(); string(got.body) != string(wantPats) {
-			t.Fatalf("%s: incremental patterns drifted from rebuild\n--- got ---\n%s\n--- want ---\n%s", step, got.body, wantPats)
-		}
-	}
-
-	// put mirrors the commit path exactly: a store put (which supersedes
-	// the name's previous version) followed by the aggregate update with
-	// the store-reported previous ID.
-	put := func(id, name string, pat core.Pattern) {
-		t.Helper()
-		prev, err := s.store.Put(store.Entry{
-			ID: id, Name: name, Fingerprint: "fp-" + id,
-			Source: []byte("src " + id), Result: []byte("res " + id),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.aggPut(id, name, pat, prev)
-	}
-
-	check("baseline")
-	pats := core.AllPatterns
-	for i := 0; i < 8; i++ {
-		put(fmt.Sprintf("id-%d", i), fmt.Sprintf("proj-%d", i), pats[i%len(pats)])
-		check(fmt.Sprintf("insert %d", i))
-	}
-	// Overwrite: a new version supersedes the previous ID, possibly
-	// changing the pattern bucket.
-	put("id-0b", "proj-0", pats[3])
-	check("overwrite with supersede")
-	// Same-ID re-put with a different pattern (re-analysis refinement).
-	put("id-1", "proj-1", pats[4])
-	check("same-id re-put")
-	// Deletion through the real handler.
-	dreq := httptest.NewRequest(http.MethodDelete, "/v1/projects/id-2", nil)
-	dreq.SetPathValue("id", "id-2")
-	drec := httptest.NewRecorder()
-	s.handleDelete(drec, dreq)
-	if drec.Code != http.StatusOK {
-		t.Fatalf("DELETE id-2: status %d, body %s", drec.Code, drec.Body.Bytes())
-	}
-	check("delete")
-
-	// The cached document must be reused (same backing array) while the
-	// epoch is unchanged, and replaced after a mutation.
-	a, b := s.statsRendered(), s.statsRendered()
-	if &a.body[0] != &b.body[0] {
-		t.Fatal("unchanged epoch re-rendered the stats document")
-	}
-	put("id-9", "proj-9", pats[0])
-	cafter := s.statsRendered()
-	if len(a.body) == len(cafter.body) && &a.body[0] == &cafter.body[0] {
-		t.Fatal("aggregate mutation did not refresh the stats document")
-	}
-	check("final")
 }

@@ -151,22 +151,6 @@ type Config struct {
 	RenderBytes int64
 }
 
-// aggEntry is one submitted project's contribution to the live corpus
-// aggregates.
-type aggEntry struct {
-	name string
-	pat  core.Pattern
-}
-
-// renderedDoc is one lazily rendered aggregate document (stats or
-// patterns): the pre-rendered body and its ETag, valid while epoch still
-// matches the live aggregate epoch. A nil body means not yet rendered.
-type renderedDoc struct {
-	epoch uint64
-	body  []byte
-	etag  string
-}
-
 // Server is the HTTP analysis service. Construct with New; it implements
 // http.Handler. Close releases the store.
 type Server struct {
@@ -177,9 +161,6 @@ type Server struct {
 
 	corpus *corpus.Corpus
 	index  *corpus.Index
-	// corpusMembers is the immutable analyzed-corpus contribution to the
-	// aggregate endpoints, derived once at construction.
-	corpusMembers []member
 
 	store  *store.Store
 	flight flightGroup
@@ -188,20 +169,11 @@ type Server struct {
 	// RenderBytes < 0); invalidated through the store's OnCommit hook.
 	render *renderCache
 
-	// agg is the live aggregate membership of store-backed projects
-	// (never corpus IDs), maintained on every commit/delete/overwrite.
-	// aggCounts is its per-pattern tally, maintained incrementally so the
-	// stats document never rescans the membership; aggEpoch bumps on every
-	// aggregate mutation and versions the two lazily rendered documents.
-	aggMu       sync.Mutex
-	agg         map[string]aggEntry
-	aggCounts   map[core.Pattern]int
-	aggEpoch    uint64
-	statsDoc    renderedDoc
-	patternsDoc renderedDoc
-	// corpusCounts is the immutable corpus baseline's per-pattern tally,
-	// derived once at construction alongside corpusMembers.
-	corpusCounts map[core.Pattern]int
+	// agg is the aggregate membership index (aggregate.go): the analyzed
+	// corpus plus every live store-backed project, maintained on every
+	// commit/delete/overwrite.
+	aggMu sync.Mutex
+	agg   patternIndex
 
 	execStage *telemetry.Stage
 	incrStage *telemetry.Stage
@@ -236,11 +208,9 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		cfg:          cfg,
-		scheme:       quantize.DefaultScheme(),
-		agg:          map[string]aggEntry{},
-		aggCounts:    map[core.Pattern]int{},
-		corpusCounts: map[core.Pattern]int{},
+		cfg:    cfg,
+		scheme: quantize.DefaultScheme(),
+		agg:    newPatternIndex(),
 	}
 	if cfg.Scheme != nil {
 		s.scheme = *cfg.Scheme
@@ -314,15 +284,15 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	s.index = idx
 	for _, p := range s.corpus.Projects {
 		if p.Analyzed {
-			s.corpusMembers = append(s.corpusMembers, member{id: idOf(p), name: p.Name, pat: p.Assigned()})
-			s.corpusCounts[p.Assigned()]++
+			s.agg.load(idOf(p), p.Name, p.Assigned(), false)
 		}
 	}
 
 	// Warm restart: every persisted project rejoins the aggregates from
 	// its stored result — decode only, no analysis. Entries whose result
 	// is currently unreadable (quarantined) stay out until re-analyzed on
-	// demand.
+	// demand. The corpus and stored members load in bulk and each group
+	// sorts once.
 	s.store.Each(func(id, name string, result []byte) {
 		if result == nil {
 			return
@@ -331,11 +301,10 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 			return
 		}
 		if res, err := pipeline.DecodeResult(result); err == nil {
-			pat := assignedPattern(res.Measures, s.scheme)
-			s.agg[id] = aggEntry{name: name, pat: pat}
-			s.aggCounts[pat]++
+			s.agg.load(id, name, assignedPattern(res.Measures, s.scheme), true)
 		}
 	})
+	s.agg.sortGroups()
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/projects", s.wrap("submit", s.handleSubmit))
@@ -789,26 +758,11 @@ func (s *Server) commit(repo *vcs.Repo, fingerprint, id string, res *pipeline.Ca
 func (s *Server) aggPut(id, name string, pat core.Pattern, prevID string) {
 	s.aggMu.Lock()
 	defer s.aggMu.Unlock()
-	changed := false
-	if prevID != "" {
-		if old, ok := s.agg[prevID]; ok {
-			delete(s.agg, prevID)
-			s.aggCounts[old.pat]--
-			changed = true
-		}
-	}
+	s.agg.leave(prevID)
 	live, ok := s.store.LatestID(name)
 	_, corpusOwned := s.index.Lookup(id)
 	if ok && live == id && !corpusOwned {
-		if old, exists := s.agg[id]; exists {
-			s.aggCounts[old.pat]--
-		}
-		s.agg[id] = aggEntry{name: name, pat: pat}
-		s.aggCounts[pat]++
-		changed = true
-	}
-	if changed {
-		s.aggEpoch++
+		s.agg.join(id, name, pat)
 	}
 }
 
@@ -1034,63 +988,26 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.aggMu.Lock()
-	if old, ok := s.agg[id]; ok {
-		delete(s.agg, id)
-		s.aggCounts[old.pat]--
-		s.aggEpoch++
-	}
+	s.agg.leave(id)
 	s.aggMu.Unlock()
 	writeJSON(w, http.StatusOK, deleteWire{SchemaVersion: APISchemaVersion, ID: id, Status: "deleted"})
 }
 
-// aggMembers snapshots the live store-backed aggregate membership.
-func (s *Server) aggMembers() []member {
-	s.aggMu.Lock()
-	defer s.aggMu.Unlock()
-	out := make([]member, 0, len(s.agg))
-	for id, e := range s.agg {
-		out = append(out, member{id: id, name: e.name, pat: e.pat})
-	}
-	return out
-}
-
-// statsRendered returns the pre-rendered stats document, rebuilding it
-// from the incrementally maintained per-pattern counts only when the
-// aggregate epoch moved since the last render.
+// statsRendered returns the pre-rendered stats document, re-rendered
+// from the group sizes at most once per aggregate epoch.
 func (s *Server) statsRendered() renderEntry {
 	s.aggMu.Lock()
 	defer s.aggMu.Unlock()
-	if s.statsDoc.body == nil || s.statsDoc.epoch != s.aggEpoch {
-		counts := make(map[core.Pattern]int, len(s.corpusCounts)+len(s.aggCounts))
-		for pat, n := range s.corpusCounts {
-			counts[pat] += n
-		}
-		for pat, n := range s.aggCounts {
-			counts[pat] += n
-		}
-		doc := buildCorpusStatsFromCounts(s.corpus.Len()+len(s.agg), len(s.corpusMembers)+len(s.agg), counts)
-		body := appendCorpusStatsWire(nil, &doc)
-		s.statsDoc = renderedDoc{epoch: s.aggEpoch, body: body, etag: etagFor(body)}
-	}
-	return renderEntry{body: s.statsDoc.body, etag: s.statsDoc.etag}
+	return s.agg.statsDoc(s.corpus.Len())
 }
 
-// patternsRendered returns the pre-rendered patterns document, rebuilt
-// from the live membership once per aggregate epoch.
+// patternsRendered returns the pre-rendered patterns document,
+// re-rendering only the groups that changed, at most once per aggregate
+// epoch.
 func (s *Server) patternsRendered() renderEntry {
 	s.aggMu.Lock()
 	defer s.aggMu.Unlock()
-	if s.patternsDoc.body == nil || s.patternsDoc.epoch != s.aggEpoch {
-		members := make([]member, 0, len(s.corpusMembers)+len(s.agg))
-		members = append(members, s.corpusMembers...)
-		for id, e := range s.agg {
-			members = append(members, member{id: id, name: e.name, pat: e.pat})
-		}
-		doc := buildCorpusPatterns(members)
-		body := appendCorpusPatternsWire(nil, &doc)
-		s.patternsDoc = renderedDoc{epoch: s.aggEpoch, body: body, etag: etagFor(body)}
-	}
-	return renderEntry{body: s.patternsDoc.body, etag: s.patternsDoc.etag}
+	return s.agg.patternsDoc()
 }
 
 // handleCorpusStats is GET /v1/corpus/stats: the corpus baseline plus

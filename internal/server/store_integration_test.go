@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -376,5 +377,101 @@ func TestDeleteLifecycle(t *testing.T) {
 	}
 	if second.Stored() != 0 {
 		t.Fatalf("restarted Stored = %d, want 0", second.Stored())
+	}
+}
+
+// TestAggregatesSurviveRestart rebuilds the aggregate index from disk
+// after joins, a supersede, a DELETE and submissions reusing corpus
+// project names: both documents and their ETags must be identical
+// before and after the restart, and every group in name, then ID order.
+func TestAggregatesSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	c := testCorpus(t)
+	first, hs1 := newService(t, server.Config{Corpus: c, StoreDir: dir})
+
+	var ids []string
+	submit := func(r *vcs.Repo) {
+		t.Helper()
+		status, _, body := post(t, hs1.URL, r)
+		if status != http.StatusOK {
+			t.Fatalf("submit %s: status %d, body %s", r.Name, status, body)
+		}
+		ids = append(ids, wireID(t, body))
+	}
+	for i := 0; i < 8; i++ {
+		submit(evolvingRepo(fmt.Sprintf("restart-%02d", i), 4+i%5))
+	}
+	// Copies of corpus histories under names sorting before every corpus
+	// name land in the corpus projects' groups, so the restart's bulk
+	// load must sort them in.
+	for _, p := range c.Projects[:4] {
+		r := *p.Repo
+		r.Name = "restart-" + p.Name
+		submit(&r)
+	}
+	reused := c.Projects[0].Name
+	submit(evolvingRepo(reused, 6))
+	submit(evolvingRepo(c.Projects[1].Name, 4))
+	submit(evolvingRepo("restart-01", 8))
+	if status, _, body := do(t, http.MethodDelete, hs1.URL+"/v1/projects/"+ids[2], nil); status != http.StatusOK {
+		t.Fatalf("delete: status %d, body %s", status, body)
+	}
+
+	get := func(base, path string) ([]byte, string) {
+		t.Helper()
+		status, hdr, body := do(t, http.MethodGet, base+path, nil)
+		if status != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, status)
+		}
+		return body, hdr.Get("ETag")
+	}
+	statsBefore, statsTag := get(hs1.URL, "/v1/corpus/stats")
+	patternsBefore, patternsTag := get(hs1.URL, "/v1/corpus/patterns")
+	if n := bytes.Count(patternsBefore, []byte(`"name": "`+reused+`"`)); n != 2 {
+		t.Fatalf("patterns list %q %d times, want the corpus project and the submission", reused, n)
+	}
+	var doc struct {
+		Groups []struct {
+			Pattern  string `json:"pattern"`
+			Projects []struct {
+				Name string `json:"name"`
+				ID   string `json:"id"`
+			} `json:"projects"`
+		} `json:"groups"`
+	}
+	if err := json.Unmarshal(patternsBefore, &doc); err != nil {
+		t.Fatal(err)
+	}
+	mixed := false
+	for _, g := range doc.Groups {
+		for i := 1; i < len(g.Projects); i++ {
+			a, b := g.Projects[i-1], g.Projects[i]
+			if a.Name > b.Name || a.Name == b.Name && a.ID > b.ID {
+				t.Fatalf("group %s lists %s/%s before %s/%s, want name then ID order", g.Pattern, a.Name, a.ID, b.Name, b.ID)
+			}
+			mixed = mixed || strings.HasPrefix(a.Name, "restart-") != strings.HasPrefix(b.Name, "restart-")
+		}
+	}
+	if !mixed {
+		t.Fatal("no group mixes corpus and submitted projects; the restart does not exercise the bulk sort")
+	}
+	hs1.Close()
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := server.New(context.Background(), server.Config{Corpus: testCorpus(t), StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	hs2 := newTestServer(t, second)
+	statsAfter, statsTag2 := get(hs2.URL, "/v1/corpus/stats")
+	patternsAfter, patternsTag2 := get(hs2.URL, "/v1/corpus/patterns")
+	if !bytes.Equal(statsBefore, statsAfter) || statsTag != statsTag2 {
+		t.Errorf("corpus stats drifted across restart (ETag %s → %s)\n--- before ---\n%s\n--- after ---\n%s", statsTag, statsTag2, statsBefore, statsAfter)
+	}
+	if !bytes.Equal(patternsBefore, patternsAfter) || patternsTag != patternsTag2 {
+		t.Errorf("corpus patterns drifted across restart (ETag %s → %s)\n--- before ---\n%s\n--- after ---\n%s", patternsTag, patternsTag2, patternsBefore, patternsAfter)
 	}
 }

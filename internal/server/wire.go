@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
 
 	"schemaevo/internal/core"
 	"schemaevo/internal/history"
@@ -190,15 +189,6 @@ func buildProjectWire(id, project string, h *history.History, m metrics.Measures
 	}
 }
 
-// member is one analyzed project's contribution to the aggregate
-// endpoints: its stable ID, name, and assigned pattern. Both the
-// immutable corpus baseline and the live store-backed set reduce to this
-// shape, so the aggregate builders are order-independent pure functions.
-type member struct {
-	id, name string
-	pat      core.Pattern
-}
-
 // assignedPattern derives the pattern a result counts under, mirroring
 // buildProjectWire's classification exactly (definitional match first,
 // else the nearest pattern) so a project's aggregate bucket always
@@ -213,77 +203,6 @@ func assignedPattern(m metrics.Measures, scheme quantize.Scheme) core.Pattern {
 		pat = core.ClassifyNearest(labels)
 	}
 	return pat
-}
-
-// buildCorpusStats tallies members by assigned pattern in the paper's
-// presentation order (patterns with no members are included, so the
-// document shape is corpus-independent). projects is the total project
-// count including any unanalyzed corpus entries.
-func buildCorpusStats(projects int, members []member) corpusStatsWire {
-	counts := map[core.Pattern]int{}
-	for _, m := range members {
-		counts[m.pat]++
-	}
-	return buildCorpusStatsFromCounts(projects, len(members), counts)
-}
-
-// buildCorpusStatsFromCounts is buildCorpusStats over an already
-// maintained per-pattern tally — the incremental aggregate path, which
-// never rescans the membership. The differential aggregate test pins
-// both constructions to identical documents.
-func buildCorpusStatsFromCounts(projects, analyzed int, counts map[core.Pattern]int) corpusStatsWire {
-	out := corpusStatsWire{
-		SchemaVersion: APISchemaVersion,
-		Projects:      projects,
-		Analyzed:      analyzed,
-		Patterns:      []patternCountWire{},
-	}
-	for _, pat := range core.AllPatterns {
-		out.Patterns = append(out.Patterns, patternCountWire{
-			Pattern: pat.String(),
-			Family:  core.FamilyOf(pat).String(),
-			Count:   counts[pat],
-		})
-	}
-	if n := counts[core.Unclassified]; n > 0 {
-		out.Patterns = append(out.Patterns, patternCountWire{
-			Pattern: core.Unclassified.String(),
-			Family:  core.FamilyOf(core.Unclassified).String(),
-			Count:   n,
-		})
-	}
-	return out
-}
-
-// buildCorpusPatterns groups members by assigned pattern, sorted by name
-// within each group — a deterministic rendering however the membership
-// accumulated.
-func buildCorpusPatterns(members []member) corpusPatternsWire {
-	out := corpusPatternsWire{SchemaVersion: APISchemaVersion, Groups: []patternGroupWire{}}
-	grouped := map[core.Pattern][]projectRefWire{}
-	for _, m := range members {
-		grouped[m.pat] = append(grouped[m.pat], projectRefWire{Name: m.name, ID: m.id})
-	}
-	emit := func(pat core.Pattern) {
-		refs := grouped[pat]
-		sort.Slice(refs, func(i, j int) bool { return refs[i].Name < refs[j].Name })
-		if refs == nil {
-			refs = []projectRefWire{}
-		}
-		out.Groups = append(out.Groups, patternGroupWire{
-			Pattern:  pat.String(),
-			Family:   core.FamilyOf(pat).String(),
-			Count:    len(refs),
-			Projects: refs,
-		})
-	}
-	for _, pat := range core.AllPatterns {
-		emit(pat)
-	}
-	if len(grouped[core.Unclassified]) > 0 {
-		emit(core.Unclassified)
-	}
-	return out
 }
 
 // buildRenderEntry renders one project's wire body through the
