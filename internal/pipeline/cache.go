@@ -305,7 +305,11 @@ func (c *diskCache) store(fingerprint, project string, h *history.History, m met
 	if c == nil {
 		return
 	}
-	data := seal(encodeEntry(&cacheEntry{
+	// The file image is built and sealed in the encoder's scratch and
+	// written straight from it; nothing here outlives the scratch.
+	sc := getFlatScratch()
+	defer sc.release()
+	data := seal(sc.encode(&cacheEntry{
 		Version:     cacheFormatVersion,
 		Fingerprint: fingerprint,
 		Project:     project,
@@ -313,7 +317,6 @@ func (c *diskCache) store(fingerprint, project string, h *history.History, m met
 		Measures:    m,
 	}))
 	if c.fault.At("cache.write.bytes", fingerprint) == faultinject.KindCorrupt {
-		data = append([]byte(nil), data...)
 		c.fault.Mangle(data, fingerprint)
 	}
 	err := withRetry(retryAttempts, retryBackoff, c.retry, func() error {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -57,6 +58,15 @@ import (
 // Decoded snapshots are Sealed, exactly like freshly computed ones: the
 // pool tables are shared across versions, so any later mutation must go
 // through the copy-on-write path.
+//
+// The encoder builds each entry once. Its working state — field stream,
+// arena and intern map, table pool and its two dedup maps, the
+// per-version pool index lists — lives in a flatScratch taken from a
+// sync.Pool, so a warm encode allocates nothing of its own. The entry
+// image an encode produces is a view of the scratch and never outlives
+// it: encodeEntry (and so EncodeResult) copies it out once into a buffer
+// of exact size, which the store's hot tier keeps; the disk cache seals
+// the CRC trailer onto the scratch and writes straight from it.
 
 // flatMagic guards against feeding arbitrary files to the decoder.
 var flatMagic = [4]byte{'S', 'E', 'V', 'F'}
@@ -214,7 +224,85 @@ type flatTotals struct {
 	cols, strs, uniq, fks, deltas, changes, notes uint32
 }
 
-func (e *flatEnc) history(h *history.History) {
+// flatScratch is the encoder's working state, pooled and reused across
+// encodes (see the file comment); release resets it.
+type flatScratch struct {
+	w      flatEnc // header and field stream; the arena is appended last
+	pool   flatEnc // table pool, spliced into w ahead of the versions
+	arena  flatArena
+	byPtr  map[*schema.Table]uint32
+	byVal  map[string]uint32 // keys are views of pool.buf (see assign)
+	refs   []uint32          // per version with a schema: table count, then pool indexes
+	tables []*schema.Table   // the current version's tables
+}
+
+var flatScratchPool = sync.Pool{New: func() any {
+	s := &flatScratch{
+		arena: flatArena{intern: make(map[string]flatRef, 64)},
+		byPtr: make(map[*schema.Table]uint32),
+		byVal: make(map[string]uint32),
+	}
+	s.w.ar, s.pool.ar = &s.arena, &s.arena
+	return s
+}}
+
+func getFlatScratch() *flatScratch { return flatScratchPool.Get().(*flatScratch) }
+
+// release empties s and returns it to the pool. Clearing the maps and the
+// table list drops every reference into the encoded entry, and clears
+// byVal before the pool bytes its keys view are overwritten.
+func (s *flatScratch) release() {
+	s.w.buf = s.w.buf[:0]
+	s.pool.buf = s.pool.buf[:0]
+	s.arena.data = s.arena.data[:0]
+	clear(s.arena.intern)
+	clear(s.byPtr)
+	clear(s.byVal)
+	s.refs = s.refs[:0]
+	clear(s.tables)
+	s.tables = s.tables[:0]
+	flatScratchPool.Put(s)
+}
+
+// assign returns t's pool index, encoding t into the pool the first time
+// a value-equal table is seen. byVal is keyed by views of the pool bytes
+// themselves, so deduplicating allocates no key: an inserted key's bytes
+// are never rewritten while the map holds it (truncation drops only a
+// candidate that was not inserted, and release clears the map before the
+// buffer is reused), and the map compares whole keys, so only byte-equal
+// tables share an index.
+func (s *flatScratch) assign(t *schema.Table, tot *flatTotals) uint32 {
+	if i, ok := s.byPtr[t]; ok {
+		return i
+	}
+	start := len(s.pool.buf)
+	s.pool.table(t)
+	enc := s.pool.buf[start:]
+	if i, ok := s.byVal[string(enc)]; ok {
+		// Value-equal to an already pooled table under a different
+		// pointer: discard the re-encoded bytes, reuse the index.
+		s.pool.buf = s.pool.buf[:start]
+		s.byPtr[t] = i
+		return i
+	}
+	i := uint32(len(s.byVal))
+	s.byVal[unsafe.String(&enc[0], len(enc))] = i
+	s.byPtr[t] = i
+	tot.cols += uint32(len(t.Columns))
+	tot.strs += uint32(len(t.PrimaryKey))
+	tot.fks += uint32(len(t.ForeignKeys))
+	for j := range t.ForeignKeys {
+		tot.strs += uint32(len(t.ForeignKeys[j].Columns) + len(t.ForeignKeys[j].RefColumns))
+	}
+	tot.uniq += uint32(len(t.Uniques))
+	for _, u := range t.Uniques {
+		tot.strs += uint32(len(u))
+	}
+	return i
+}
+
+func (s *flatScratch) history(h *history.History) {
+	e := &s.w
 	if h == nil {
 		e.u8(0)
 		return
@@ -225,53 +313,17 @@ func (e *flatEnc) history(h *history.History) {
 
 	// Walk the versions once to build the deduplicated table pool and the
 	// per-version index lists, accumulating slab totals along the way. The
-	// pool is encoded into a side buffer sharing this encoder's arena, so
-	// its string references are final when spliced into the stream.
-	pool := &flatEnc{ar: e.ar}
-	byPtr := make(map[*schema.Table]uint32)
-	byVal := make(map[string]uint32)
-	refs := make([][]uint32, len(h.Versions))
+	// pool is encoded into a side buffer sharing the arena, so its string
+	// references are final when spliced into the stream.
 	var tot flatTotals
-	var npool uint32
-	assign := func(t *schema.Table) uint32 {
-		if i, ok := byPtr[t]; ok {
-			return i
-		}
-		start := len(pool.buf)
-		pool.table(t)
-		key := string(pool.buf[start:])
-		if i, ok := byVal[key]; ok {
-			// Value-equal to an already pooled table under a different
-			// pointer: discard the re-encoded bytes, reuse the index.
-			pool.buf = pool.buf[:start]
-			byPtr[t] = i
-			return i
-		}
-		i := npool
-		npool++
-		byVal[key] = i
-		byPtr[t] = i
-		tot.cols += uint32(len(t.Columns))
-		tot.strs += uint32(len(t.PrimaryKey))
-		tot.fks += uint32(len(t.ForeignKeys))
-		for j := range t.ForeignKeys {
-			tot.strs += uint32(len(t.ForeignKeys[j].Columns) + len(t.ForeignKeys[j].RefColumns))
-		}
-		tot.uniq += uint32(len(t.Uniques))
-		for _, u := range t.Uniques {
-			tot.strs += uint32(len(u))
-		}
-		return i
-	}
 	for i := range h.Versions {
 		v := &h.Versions[i]
 		if v.Schema != nil {
-			ts := v.Schema.Tables()
-			rs := make([]uint32, len(ts))
-			for k, t := range ts {
-				rs[k] = assign(t)
+			s.tables = v.Schema.AppendTables(s.tables[:0])
+			s.refs = append(s.refs, uint32(len(s.tables)))
+			for _, t := range s.tables {
+				s.refs = append(s.refs, s.assign(t, &tot))
 			}
-			refs[i] = rs
 		}
 		if v.Delta != nil {
 			tot.deltas++
@@ -281,7 +333,7 @@ func (e *flatEnc) history(h *history.History) {
 		tot.notes += uint32(len(v.Notes))
 	}
 
-	e.u32(npool)
+	e.u32(uint32(len(s.byVal)))
 	e.u32(tot.cols)
 	e.u32(tot.strs)
 	e.u32(tot.uniq)
@@ -289,9 +341,10 @@ func (e *flatEnc) history(h *history.History) {
 	e.u32(tot.deltas)
 	e.u32(tot.changes)
 	e.u32(tot.notes)
-	e.buf = append(e.buf, pool.buf...)
+	e.buf = append(e.buf, s.pool.buf...)
 
 	e.cnt(len(h.Versions), h.Versions == nil)
+	refs := s.refs
 	for i := range h.Versions {
 		v := &h.Versions[i]
 		e.i64(int64(v.Seq))
@@ -299,11 +352,13 @@ func (e *flatEnc) history(h *history.History) {
 		if v.Schema == nil {
 			e.u8(0)
 		} else {
+			// The table count, then its pool indexes.
 			e.u8(1)
-			e.u32(uint32(len(refs[i])))
-			for _, r := range refs[i] {
+			n := refs[0] + 1
+			for _, r := range refs[:n] {
 				e.u32(r)
 			}
+			refs = refs[n:]
 		}
 		e.delta(v.Delta)
 		e.cnt(len(v.Notes), v.Notes == nil)
@@ -348,24 +403,39 @@ func (e *flatEnc) measures(m *metrics.Measures) {
 	}
 }
 
-// encodeEntry serializes a cache entry in the flat format. Encoding is
-// deterministic: value-equal entries produce identical bytes, which the
-// result store's content addressing and the differential tests rely on.
-func encodeEntry(e *cacheEntry) []byte {
-	ar := &flatArena{intern: make(map[string]flatRef, 64)}
-	w := &flatEnc{buf: make([]byte, flatHeaderSize, 16<<10), ar: ar}
+// encode serializes e into the scratch and returns the entry image:
+// header, field stream, arena. The bytes belong to the scratch; they are
+// valid until release and must not escape it. Encoding is deterministic:
+// value-equal entries produce identical bytes, which the result store's
+// content addressing and the differential tests rely on.
+func (s *flatScratch) encode(e *cacheEntry) []byte {
+	var hdr [flatHeaderSize]byte
+	w := &s.w
+	w.buf = append(w.buf[:0], hdr[:]...)
 	w.str(e.Fingerprint)
 	w.str(e.Project)
-	w.history(e.History)
+	s.history(e.History)
 	w.measures(&e.Measures)
 	copy(w.buf[0:4], flatMagic[:])
 	binary.LittleEndian.PutUint32(w.buf[4:8], uint32(e.Version))
 	binary.LittleEndian.PutUint64(w.buf[8:16], uint64(len(w.buf)))
-	binary.LittleEndian.PutUint64(w.buf[16:24], uint64(len(ar.data)))
+	binary.LittleEndian.PutUint64(w.buf[16:24], uint64(len(s.arena.data)))
 	if e.History != nil {
 		w.buf[24] = byte(e.History.Dialect)
 	}
-	return append(w.buf, ar.data...)
+	w.buf = append(w.buf, s.arena.data...)
+	return w.buf
+}
+
+// encodeEntry serializes a cache entry in the flat format into a buffer
+// of its own, of exact size (cap == len).
+func encodeEntry(e *cacheEntry) []byte {
+	s := getFlatScratch()
+	b := s.encode(e)
+	out := make([]byte, len(b))
+	copy(out, b)
+	s.release()
+	return out
 }
 
 // flatDec reads the fixed-width stream of one entry. All reads are

@@ -28,12 +28,26 @@ const repoCodecVersion = 1
 // analysis: fingerprints and results of the decoded repo are identical to
 // the original's.
 func EncodeRepo(r *vcs.Repo) []byte {
-	w := &enc{buf: make([]byte, 0, 8<<10)}
+	// A sizing pass first, so the snapshot is built in one allocation of
+	// exactly its length. Every integer and length prefix is 8 bytes.
+	n, maxFiles := len(repoMagic)+8+8+len(r.Name)+8, 0
+	for i := range r.Commits {
+		c := &r.Commits[i]
+		n += 8 + len(c.ID) + 16 + 8 + len(c.Message) + 8 + 8 + 8
+		for p, body := range c.Files {
+			n += 16 + len(p) + len(body)
+		}
+		for _, p := range c.Deleted {
+			n += 8 + len(p)
+		}
+		maxFiles = max(maxFiles, len(c.Files))
+	}
+	w := &enc{buf: make([]byte, 0, n)}
 	w.bytes(repoMagic[:])
 	w.int(repoCodecVersion)
 	w.str(r.Name)
 	w.count(len(r.Commits), r.Commits == nil)
-	var paths []string
+	paths := make([]string, 0, maxFiles)
 	for i := range r.Commits {
 		c := &r.Commits[i]
 		w.str(c.ID)

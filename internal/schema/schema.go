@@ -163,13 +163,19 @@ func (s *Schema) Table(name string) (*Table, bool) {
 
 // Tables returns all tables in insertion order.
 func (s *Schema) Tables() []*Table {
-	out := make([]*Table, 0, len(s.order))
+	return s.AppendTables(make([]*Table, 0, len(s.order)))
+}
+
+// AppendTables appends the tables in insertion order to buf and returns
+// it, allocating only when buf lacks capacity. Like AppendTableNames it
+// repeats a table whose name repeats in the insertion order.
+func (s *Schema) AppendTables(buf []*Table) []*Table {
 	for _, name := range s.order {
 		if t, ok := s.tables[name]; ok {
-			out = append(out, t)
+			buf = append(buf, t)
 		}
 	}
-	return out
+	return buf
 }
 
 // AppendTableNames appends the table names in insertion order to buf and

@@ -9,7 +9,8 @@ import (
 
 // hotTier is the in-memory tier: encoded results keyed by project ID,
 // bounded both by entry count and by total byte size, evicting from the
-// least-recently-used end. Eviction is harmless by construction — every
+// least-recently-used end. An entry is charged its capacity, not its
+// length: the tier keeps the whole backing array reachable. Eviction is harmless by construction — every
 // entry is either persisted in the disk tier or recomputable from its
 // retained source snapshot — so the hot tier is a pure accelerator, never
 // the owner of last resort.
@@ -60,19 +61,19 @@ func (h *hotTier) put(id string, data []byte) {
 	defer h.mu.Unlock()
 	if el, ok := h.byID[id]; ok {
 		e := el.Value.(*hotEntry)
-		h.bytes += int64(len(data)) - int64(len(e.data))
+		h.bytes += int64(cap(data)) - int64(cap(e.data))
 		e.data = data
 		h.order.MoveToFront(el)
 	} else {
 		h.byID[id] = h.order.PushFront(&hotEntry{id: id, data: data})
-		h.bytes += int64(len(data))
+		h.bytes += int64(cap(data))
 	}
 	for h.order.Len() > 1 && (h.order.Len() > h.maxEntries || h.bytes > h.maxBytes) {
 		cold := h.order.Back()
 		e := cold.Value.(*hotEntry)
 		h.order.Remove(cold)
 		delete(h.byID, e.id)
-		h.bytes -= int64(len(e.data))
+		h.bytes -= int64(cap(e.data))
 		h.cnt.Add(telemetry.StoreEvictions, 1)
 	}
 }
@@ -81,7 +82,7 @@ func (h *hotTier) remove(id string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if el, ok := h.byID[id]; ok {
-		h.bytes -= int64(len(el.Value.(*hotEntry).data))
+		h.bytes -= int64(cap(el.Value.(*hotEntry).data))
 		h.order.Remove(el)
 		delete(h.byID, id)
 	}

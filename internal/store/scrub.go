@@ -85,6 +85,7 @@ func (s *Store) ScrubOnce(ctx context.Context, cfg ScrubConfig) ScrubReport {
 		pace = 500 * time.Microsecond
 	}
 	var repairIDs []string
+	var frame []byte // every record of the pass is read into this buffer
 	for _, sh := range s.shards {
 		if ctx.Err() != nil {
 			break
@@ -104,7 +105,7 @@ func (s *Store) ScrubOnce(ctx context.Context, cfg ScrubConfig) ScrubReport {
 			if ctx.Err() != nil {
 				break
 			}
-			if s.verifyEntry(ctx, sh, id, &rep) {
+			if s.verifyEntry(ctx, sh, id, &rep, &frame) {
 				repairIDs = append(repairIDs, id)
 			}
 			if pace > 0 {
@@ -159,8 +160,9 @@ func (s *Store) ScrubOnce(ctx context.Context, cfg ScrubConfig) ScrubReport {
 
 // verifyEntry CRC-checks one live entry's records ahead of demand,
 // quarantining any damage, and reports whether the entry needs repair
-// (readable source, no readable result).
-func (s *Store) verifyEntry(ctx context.Context, sh *shard, id string, rep *ScrubReport) (needRepair bool) {
+// (readable source, no readable result). Records are read into *frame,
+// the pass's one buffer, which grows to the largest record verified.
+func (s *Store) verifyEntry(ctx context.Context, sh *shard, id string, rep *ScrubReport, frame *[]byte) (needRepair bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	m := sh.byID[id]
@@ -180,7 +182,8 @@ func (s *Store) verifyEntry(ctx context.Context, sh *shard, id string, rep *Scru
 	}
 	if m.src.ok() {
 		s.cnt.Add(telemetry.StoreScrubbedRecords, 1)
-		if _, err := sh.readRecordLocked(m.src); err != nil {
+		var err error
+		if *frame, err = sh.readFrameLocked(*frame, m.src); err != nil {
 			s.quarantineLocked(sh, &m.src)
 			rep.Corrupt++
 		} else {
@@ -189,11 +192,12 @@ func (s *Store) verifyEntry(ctx context.Context, sh *shard, id string, rep *Scru
 	}
 	if m.res.ok() {
 		s.cnt.Add(telemetry.StoreScrubbedRecords, 1)
-		_, err := sh.readRecordLocked(m.res)
+		var err error
+		*frame, err = sh.readFrameLocked(*frame, m.res)
 		// Injected latent corruption, keyed by id@seq: a repaired record
 		// carries a new sequence, so the same entry re-rolls instead of
 		// faulting forever.
-		if err == nil && s.fault.At("store.scrub", fmt.Sprintf("%s@%d", id, m.res.seq)) == faultinject.KindCorrupt {
+		if err == nil && s.fault != nil && s.fault.At("store.scrub", fmt.Sprintf("%s@%d", id, m.res.seq)) == faultinject.KindCorrupt {
 			err = &faultinject.Error{Site: "store.scrub", Key: id}
 		}
 		if err != nil {

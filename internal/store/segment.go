@@ -75,6 +75,8 @@ func le64(buf []byte, v uint64) []byte {
 }
 
 // appendRecord frames one record onto buf and returns the grown buffer.
+// Writers size buf up front with recordSize, so a frame is built in one
+// allocation of exactly its length.
 func appendRecord(buf []byte, kind byte, seq uint64, id, name, fp string, body []byte) []byte {
 	start := len(buf)
 	hdrLen := 12 + len(id) + len(name) + len(fp)
@@ -179,4 +181,40 @@ func scanRecords(data []byte, base int64) (out []rec, quarantined int) {
 		off = end
 	}
 	return out, quarantined
+}
+
+// frameIntact reports whether frame is exactly one intact record: magic,
+// lengths that add up to len(frame), CRC, a known kind, and a header of
+// three length-prefixed strings that consume it exactly. It accepts the
+// frames scanRecords returns as a single record spanning the whole input,
+// and rejects the rest, without materializing anything.
+func frameIntact(frame []byte) bool {
+	if len(frame) < recFixed || !bytes.Equal(frame[:4], recMagic[:]) {
+		return false
+	}
+	hdrLen := int64(binary.LittleEndian.Uint32(frame[13:]))
+	bodyLen := int64(binary.LittleEndian.Uint32(frame[17:]))
+	if int64(recFixed)+hdrLen+bodyLen+4 != int64(len(frame)) {
+		return false
+	}
+	end := len(frame) - 4
+	if crc32.Checksum(frame[4:end], crcTable) != binary.LittleEndian.Uint32(frame[end:]) {
+		return false
+	}
+	if kind := frame[4]; kind != recSource && kind != recResult && kind != recTombstone {
+		return false
+	}
+	hdr := frame[recFixed : recFixed+int(hdrLen)]
+	for i := 0; i < 3; i++ { // id, name, fingerprint
+		if len(hdr) < 4 {
+			return false
+		}
+		n := binary.LittleEndian.Uint32(hdr)
+		hdr = hdr[4:]
+		if uint64(n) > uint64(len(hdr)) {
+			return false
+		}
+		hdr = hdr[n:]
+	}
+	return len(hdr) == 0
 }

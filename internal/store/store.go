@@ -581,7 +581,12 @@ func (s *Store) Put(e Entry) (prevID string, err error) {
 	if sh.file == nil {
 		m.srcMem = e.Source
 	} else {
-		buf := appendRecord(nil, recSource, seqSrc, e.ID, e.Name, e.Fingerprint, e.Source)
+		// One frame buffer, sized up front, holds both records.
+		size := recordSize(e.ID, e.Name, e.Fingerprint, len(e.Source))
+		if e.Result != nil {
+			size += recordSize(e.ID, e.Name, e.Fingerprint, len(e.Result))
+		}
+		buf := appendRecord(make([]byte, 0, size), recSource, seqSrc, e.ID, e.Name, e.Fingerprint, e.Source)
 		m.src = ref{
 			start: sh.size, total: int64(len(buf)),
 			bodyOff: sh.size + int64(len(buf)) - 4 - int64(len(e.Source)), bodyLen: int64(len(e.Source)),
@@ -647,7 +652,7 @@ func (s *Store) PutResult(id string, result []byte) error {
 			sh.garbage += m.res.total
 			sh.live -= m.res.total
 		}
-		buf := appendRecord(nil, recResult, seq, m.id, m.name, m.fp, result)
+		buf := appendRecord(make([]byte, 0, recordSize(m.id, m.name, m.fp, len(result))), recResult, seq, m.id, m.name, m.fp, result)
 		m.res = ref{
 			start: sh.size, total: int64(len(buf)),
 			bodyOff: sh.size + int64(len(buf)) - 4 - int64(len(result)), bodyLen: int64(len(result)),
@@ -681,7 +686,7 @@ func (s *Store) Delete(id string) (bool, error) {
 	}
 	var err error
 	if sh.file != nil {
-		buf := appendRecord(nil, recTombstone, seq, m.id, m.name, m.fp, nil)
+		buf := appendRecord(make([]byte, 0, recordSize(m.id, m.name, m.fp, 0)), recTombstone, seq, m.id, m.name, m.fp, nil)
 		// The tombstone is live, guarded state, not garbage-in-waiting: the
 		// deleted name's stale records may survive in OTHER shards (each
 		// version's ID shards independently), and only this record's higher
@@ -817,18 +822,31 @@ func (s *Store) flushLocked(sh *shard, key string, buf []byte) error {
 	return nil
 }
 
-// readRecordLocked reads one framed record and verifies its magic and
-// CRC, returning the body.
-func (sh *shard) readRecordLocked(r ref) ([]byte, error) {
-	buf := make([]byte, r.total)
+// readFrameLocked reads record r's whole frame into buf, growing it only
+// when its capacity falls short, and verifies it. The frame is returned
+// even on failure, so a caller reusing buf keeps what it grew to.
+func (sh *shard) readFrameLocked(buf []byte, r ref) ([]byte, error) {
+	if int64(cap(buf)) < r.total {
+		buf = make([]byte, r.total)
+	}
+	buf = buf[:r.total]
 	if _, err := sh.file.ReadAt(buf, r.start); err != nil {
-		return nil, fmt.Errorf("store: read record: %w", err)
+		return buf, fmt.Errorf("store: read record: %w", err)
 	}
-	recs, _ := scanRecords(buf, r.start)
-	if len(recs) != 1 || recs[0].total != r.total {
-		return nil, fmt.Errorf("store: record at %d failed verification", r.start)
+	if !frameIntact(buf) {
+		return buf, fmt.Errorf("store: record at %d failed verification", r.start)
 	}
-	return buf[r.bodyOff-r.start : r.bodyOff-r.start+r.bodyLen], nil
+	return buf, nil
+}
+
+// readRecordLocked reads and verifies one framed record into a buffer of
+// its own, returning the body.
+func (sh *shard) readRecordLocked(r ref) ([]byte, error) {
+	frame, err := sh.readFrameLocked(nil, r)
+	if err != nil {
+		return nil, err
+	}
+	return frame[r.bodyOff-r.start : r.bodyOff-r.start+r.bodyLen], nil
 }
 
 // maybeCompactLocked rewrites the shard's segment once garbage exceeds
@@ -876,24 +894,29 @@ func (s *Store) maybeCompactLocked(sh *shard) {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	buf := []byte(segHeader)
+	// The rewrite holds at most the live records and guarding tombstones:
+	// sh.live sizes it up front (records failing verification below only
+	// leave it shorter).
+	buf := append(make([]byte, 0, int64(len(segHeader))+max(sh.live, 0)), segHeader...)
 	type move struct {
 		m     *meta
 		which *ref
 		to    ref
 	}
 	var moves []move
+	var frame []byte // each record is read into this buffer, then re-framed into buf
 	for _, id := range ids {
 		m := sh.byID[id]
 		for _, which := range []*ref{&m.src, &m.res} {
 			if !which.ok() {
 				continue
 			}
-			body, err := sh.readRecordLocked(*which)
-			if err != nil {
+			var err error
+			if frame, err = sh.readFrameLocked(frame, *which); err != nil {
 				s.quarantineLocked(sh, which)
 				continue
 			}
+			body := frame[which.bodyOff-which.start : which.bodyOff-which.start+which.bodyLen]
 			kind := recSource
 			if which == &m.res {
 				kind = recResult
