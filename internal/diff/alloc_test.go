@@ -36,3 +36,27 @@ CREATE TABLE audit (id INT PRIMARY KEY, entry TEXT, at TIMESTAMP);
 		t.Errorf("diffing two mostly-shared schemas: %.1f allocs/run, budget %d", allocs, budget)
 	}
 }
+
+// TestDeltaChangesExactSize pins the copy-out of Schemas' pooled change
+// buffer: the changes are allocated once at their exact size, and a delta
+// without changes carries none.
+func TestDeltaChangesExactSize(t *testing.T) {
+	s, _ := schema.ParseAndBuild(`
+CREATE TABLE users (id INT PRIMARY KEY, name TEXT, email TEXT, bio TEXT, age INT);
+CREATE TABLE orgs (id INT PRIMARY KEY, title TEXT, url TEXT);
+`)
+	d := Schemas(nil, s)
+	if len(d.Changes) != 8 || cap(d.Changes) != len(d.Changes) {
+		t.Errorf("birth delta: len %d cap %d, want 8 and 8", len(d.Changes), cap(d.Changes))
+	}
+	if d := Schemas(s, s.CloneCOW()); d.Changes != nil {
+		t.Errorf("unchanged schema: Changes = %v, want nil", d.Changes)
+	}
+	want := append([]AttrChange(nil), d.Changes...)
+	Schemas(s, nil) // eight different changes through the same pooled buffer
+	for i := range want {
+		if d.Changes[i] != want[i] {
+			t.Fatalf("a later diff overwrote change %d: %v, want %v", i, d.Changes[i], want[i])
+		}
+	}
+}

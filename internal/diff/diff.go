@@ -116,10 +116,12 @@ func (d *Delta) add(table, attr string, kind ChangeKind) {
 	}
 }
 
-// scratch holds the per-call name buffers of Schemas, pooled so the hot
-// per-version diff allocates only its result.
+// scratch holds the per-call buffers of Schemas, pooled so the hot
+// per-version diff allocates only its result: the table names, and the
+// changes, which are collected here and copied out once at exact size.
 type scratch struct {
 	oldNames, newNames []string
+	changes            []AttrChange
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -134,8 +136,8 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // under copy-on-write reconstruction — are skipped without comparing a
 // single column.
 func Schemas(old, new *schema.Schema) *Delta {
-	d := &Delta{}
 	sc := scratchPool.Get().(*scratch)
+	d := &Delta{Changes: sc.changes[:0]}
 	newNames := sortedTableNames(new, sc.newNames[:0])
 	oldNames := sortedTableNames(old, sc.oldNames[:0])
 
@@ -170,6 +172,14 @@ func Schemas(old, new *schema.Schema) *Delta {
 		}
 	}
 	sc.oldNames, sc.newNames = oldNames[:0], newNames[:0]
+	changes := d.Changes
+	d.Changes = nil
+	if len(changes) > 0 {
+		d.Changes = make([]AttrChange, len(changes))
+		copy(d.Changes, changes)
+		clear(changes) // the pooled buffer must not pin table and column names
+	}
+	sc.changes = changes[:0]
 	scratchPool.Put(sc)
 	return d
 }

@@ -44,17 +44,19 @@ func ParseAndBuild(src string) (*Schema, []Note) {
 func (s *Schema) Apply(script *sqlddl.Script) []Note {
 	var notes []Note
 	for i, stmt := range script.Statements {
-		notes = append(notes, s.applyStatement(i, stmt)...)
+		notes = append(notes, s.applyStatement(i, stmt, nil)...)
 	}
 	return notes
 }
 
-func (s *Schema) applyStatement(idx int, stmt sqlddl.Statement) []Note {
+// applyStatement applies one statement; types memoizes type normalization
+// (nil normalizes every column afresh).
+func (s *Schema) applyStatement(idx int, stmt sqlddl.Statement, types typeMemo) []Note {
 	switch st := stmt.(type) {
 	case *sqlddl.CreateTable:
-		return s.applyCreateTable(idx, st)
+		return s.applyCreateTable(idx, st, types)
 	case *sqlddl.AlterTable:
-		return s.applyAlterTable(idx, st)
+		return s.applyAlterTable(idx, st, types)
 	case *sqlddl.DropTable:
 		var notes []Note
 		for _, name := range st.Names {
@@ -70,7 +72,7 @@ func (s *Schema) applyStatement(idx int, stmt sqlddl.Statement) []Note {
 	}
 }
 
-func (s *Schema) applyCreateTable(idx int, ct *sqlddl.CreateTable) []Note {
+func (s *Schema) applyCreateTable(idx int, ct *sqlddl.CreateTable, types typeMemo) []Note {
 	var notes []Note
 	if _, exists := s.Table(ct.Name); exists {
 		if ct.IfNotExists {
@@ -78,7 +80,7 @@ func (s *Schema) applyCreateTable(idx int, ct *sqlddl.CreateTable) []Note {
 		}
 		notes = append(notes, Note{idx, "CREATE TABLE " + ct.Name + ": replacing existing definition"})
 	}
-	t, msgs := buildCreateTable(ct)
+	t, msgs := buildCreateTable(ct, types)
 	for _, m := range msgs {
 		notes = append(notes, Note{idx, m})
 	}
@@ -90,8 +92,11 @@ func (s *Schema) applyCreateTable(idx int, ct *sqlddl.CreateTable) []Note {
 // defines, plus the messages for per-column anomalies. The result depends
 // only on the statement — not on schema state — which is what lets the
 // incremental reconstructor cache tables per AST node.
-func buildCreateTable(ct *sqlddl.CreateTable) (*Table, []string) {
+func buildCreateTable(ct *sqlddl.CreateTable, types typeMemo) (*Table, []string) {
 	t := &Table{Name: ct.Name}
+	if len(ct.Columns) > 0 {
+		t.Columns = make([]Column, 0, len(ct.Columns))
+	}
 	var msgs []string
 	var pk []string
 	for _, cd := range ct.Columns {
@@ -102,7 +107,7 @@ func buildCreateTable(ct *sqlddl.CreateTable) (*Table, []string) {
 			msgs = append(msgs, "CREATE TABLE "+ct.Name+": duplicate column "+cd.Name)
 			continue
 		}
-		col := columnFromDef(cd)
+		col := columnFromDef(cd, types)
 		t.Columns = append(t.Columns, col)
 		if cd.PrimaryKey {
 			pk = append(pk, cd.Name)
@@ -132,10 +137,10 @@ func buildCreateTable(ct *sqlddl.CreateTable) (*Table, []string) {
 	return t, msgs
 }
 
-func columnFromDef(cd sqlddl.ColumnDef) Column {
+func columnFromDef(cd sqlddl.ColumnDef, types typeMemo) Column {
 	return Column{
 		Name:          cd.Name,
-		Type:          NormalizeType(cd.Type),
+		Type:          types.normalize(cd.Type),
 		NotNull:       cd.NotNull,
 		Default:       cd.Default,
 		HasDefault:    cd.HasDefault,
@@ -180,7 +185,7 @@ func syntheticFKName(fk ForeignKey) string {
 	return sb.String()
 }
 
-func (s *Schema) applyAlterTable(idx int, at *sqlddl.AlterTable) []Note {
+func (s *Schema) applyAlterTable(idx int, at *sqlddl.AlterTable, types typeMemo) []Note {
 	t, ok := s.Table(at.Name)
 	if !ok {
 		if at.IfExists {
@@ -191,18 +196,18 @@ func (s *Schema) applyAlterTable(idx int, at *sqlddl.AlterTable) []Note {
 	t = s.writable(t)
 	var notes []Note
 	for _, act := range at.Actions {
-		notes = append(notes, s.applyAlteration(idx, t, act)...)
+		notes = append(notes, s.applyAlteration(idx, t, act, types)...)
 	}
 	return notes
 }
 
-func (s *Schema) applyAlteration(idx int, t *Table, act sqlddl.Alteration) []Note {
+func (s *Schema) applyAlteration(idx int, t *Table, act sqlddl.Alteration, types typeMemo) []Note {
 	switch act.Action {
 	case sqlddl.AddColumn:
 		if _, exists := t.Column(act.Column.Name); exists {
 			return []Note{{idx, "ADD COLUMN " + t.Name + "." + act.Column.Name + ": already exists"}}
 		}
-		col := columnFromDef(act.Column)
+		col := columnFromDef(act.Column, types)
 		t.Columns = append(t.Columns, col)
 		if act.Column.PrimaryKey {
 			t.setPrimaryKey(append(append([]string(nil), t.PrimaryKey...), col.Name))
@@ -220,7 +225,7 @@ func (s *Schema) applyAlteration(idx int, t *Table, act sqlddl.Alteration) []Not
 			return []Note{{idx, "MODIFY COLUMN " + t.Name + "." + act.Column.Name + ": no such column"}}
 		}
 		if act.Column.Type != "" {
-			c.Type = NormalizeType(act.Column.Type)
+			c.Type = types.normalize(act.Column.Type)
 		}
 		// MySQL MODIFY restates the full definition; adopt the flags.
 		c.NotNull = act.Column.NotNull || c.InPK
@@ -237,7 +242,7 @@ func (s *Schema) applyAlteration(idx int, t *Table, act sqlddl.Alteration) []Not
 		}
 		c.Name = act.Column.Name
 		if act.Column.Type != "" { // CHANGE restates the type
-			c.Type = NormalizeType(act.Column.Type)
+			c.Type = types.normalize(act.Column.Type)
 			c.NotNull = act.Column.NotNull || c.InPK
 		}
 		renameInKeys(t, act.OldName, act.Column.Name)

@@ -42,6 +42,7 @@ type tableProto struct {
 type Reconstructor struct {
 	sess   *sqlddl.Session
 	protos map[*sqlddl.CreateTable]*tableProto
+	types  typeMemo
 
 	units     []sqlddl.Unit
 	prevUnits []sqlddl.Unit
@@ -57,6 +58,7 @@ func NewReconstructor() *Reconstructor {
 	return &Reconstructor{
 		sess:   sqlddl.AcquireSession(),
 		protos: make(map[*sqlddl.CreateTable]*tableProto, 64),
+		types:  make(typeMemo, 64),
 	}
 }
 
@@ -101,9 +103,13 @@ func (rc *Reconstructor) DialectID() sqlddl.DialectID { return rc.sess.DialectID
 // ResetProject drops all cached state tied to previously parsed content:
 // the statement cache (whose keys alias source text), the table
 // prototypes (keyed by cached AST nodes), and the previous-version chain.
+// The type normalization memo outlives projects up to its bound.
 func (rc *Reconstructor) ResetProject() {
 	rc.sess.ClearCache()
 	clear(rc.protos)
+	if len(rc.types) > sqlddl.MaxInterned {
+		clear(rc.types)
+	}
 	rc.ResetFile()
 }
 
@@ -191,11 +197,11 @@ func prefixMatches(prev, cur []sqlddl.Unit) bool {
 func (rc *Reconstructor) applyStatement(s *Schema, notes []Note, idx int, stmt sqlddl.Statement) []Note {
 	ct, ok := stmt.(*sqlddl.CreateTable)
 	if !ok {
-		return append(notes, s.applyStatement(idx, stmt)...)
+		return append(notes, s.applyStatement(idx, stmt, rc.types)...)
 	}
 	proto := rc.protos[ct]
 	if proto == nil {
-		t, msgs := buildCreateTable(ct)
+		t, msgs := buildCreateTable(ct, rc.types)
 		proto = &tableProto{table: t, msgs: msgs}
 		rc.protos[ct] = proto
 	}

@@ -57,6 +57,25 @@ func NormalizeType(raw string) string {
 	return sb.String()
 }
 
+// typeMemo memoizes NormalizeType for one Reconstructor. Its keys are the
+// parser's interned type spellings, owned copies that never alias source
+// text, so it stays valid across projects; like the parse session's
+// intern table it is dropped once it passes sqlddl.MaxInterned entries.
+// A nil typeMemo normalizes every call afresh.
+type typeMemo map[string]string
+
+func (m typeMemo) normalize(raw string) string {
+	if m == nil {
+		return NormalizeType(raw)
+	}
+	if v, ok := m[raw]; ok {
+		return v
+	}
+	v := NormalizeType(raw)
+	m[raw] = v
+	return v
+}
+
 // splitType splits "base(args) suffix" where base may be multi-word
 // ("character varying") and suffix holds trailing modifiers such as
 // "unsigned", "zerofill" or "array".

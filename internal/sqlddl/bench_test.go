@@ -58,3 +58,17 @@ func BenchmarkTokenize(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSplitStatements measures the token-free boundary scan, the
+// part of ParseUnits every byte of every version goes through.
+func BenchmarkSplitStatements(b *testing.B) {
+	dump := largeDump(100)
+	b.SetBytes(int64(len(dump)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if stmts := SplitStatements(dump); len(stmts) != 101 {
+			b.Fatalf("statements = %d", len(stmts))
+		}
+	}
+}

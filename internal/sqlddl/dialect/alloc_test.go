@@ -71,7 +71,7 @@ func TestAllocBudgetDialectParseWarm(t *testing.T) {
 // files of one project) stays within the same ceiling the generic cold
 // budget uses.
 func TestAllocBudgetDialectParseCold(t *testing.T) {
-	const budget = 120
+	const budget = 30 // measured 6 to 12
 	for _, d := range dialect.All() {
 		t.Run(d.Name(), func(t *testing.T) {
 			src := allocScripts[d.Name()]

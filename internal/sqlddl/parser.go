@@ -14,9 +14,9 @@ import (
 )
 
 // Parse parses a DDL script. It never returns an error: per-statement
-// failures are reported in Script.Errors. The whole script is lexed in a
-// single pass through a pooled session; see Session for the allocation
-// discipline.
+// failures are reported in Script.Errors. Statements are found by a
+// token-free scan and each distinct one is lexed once, through a pooled
+// session; see Session for the allocation discipline.
 func Parse(src string) *Script {
 	s := AcquireSession()
 	defer ReleaseSession(s)
@@ -38,17 +38,16 @@ func ParseWith(d Dialect, src string) *Script {
 func ParseStatement(text string) (Statement, error) {
 	s := AcquireSession()
 	defer ReleaseSession(s)
-	lx := Lexer{src: text, line: 1, col: 1, scratch: s.lx.scratch}
+	s.lx = Lexer{src: text, lines: startOfScript, scratch: s.lx.scratch}
 	toks := s.toks[:0]
 	for {
-		t := lx.Next()
+		t := s.lx.Next()
 		toks = append(toks, t)
 		if t.Kind == EOF {
 			break
 		}
 	}
 	s.toks = toks
-	s.lx.scratch = lx.scratch
 	stmt, perr := s.parseTokens(toks, 0, text)
 	if perr != nil {
 		return nil, perr
@@ -68,8 +67,9 @@ type parser struct {
 	// pending accumulates extra alterations produced while parsing one
 	// action (MySQL "ADD (c1 t1, c2 t2)" grouped adds).
 	pending []Alteration
-	typeBuf []byte // scratch for assembling data-type spellings
-	scratch []byte // scratch for parenthesized raw fragments
+	typeBuf []byte      // scratch for assembling data-type spellings
+	scratch []byte      // scratch for parenthesized raw fragments
+	cols    []ColumnDef // scratch for a CREATE TABLE's columns, copied out at exact size
 }
 
 // reset prepares the parser for one statement's token window, reusing its
@@ -254,6 +254,7 @@ func (p *parser) parseCreateTable(temp bool) Statement {
 		return p.finishRaw(ct)
 	}
 	p.next() // (
+	p.cols = p.cols[:0]
 	for {
 		if p.cur().Kind == RParen {
 			break
@@ -261,7 +262,7 @@ func (p *parser) parseCreateTable(temp bool) Statement {
 		if c, ok := p.tryTableConstraint(); ok {
 			ct.Constraints = append(ct.Constraints, c)
 		} else {
-			ct.Columns = append(ct.Columns, p.parseColumnDef())
+			p.cols = append(p.cols, p.parseColumnDef())
 		}
 		if p.cur().Kind == Comma {
 			p.next()
@@ -273,6 +274,10 @@ func (p *parser) parseCreateTable(temp bool) Statement {
 		p.fail("expected ')' closing CREATE TABLE body")
 	}
 	p.next()
+	if len(p.cols) > 0 {
+		ct.Columns = make([]ColumnDef, len(p.cols))
+		copy(ct.Columns, p.cols)
+	}
 	// Trailing table options: capture raw and ignore.
 	var opts []string
 	for p.cur().Kind != EOF {

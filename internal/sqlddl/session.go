@@ -16,26 +16,41 @@ type Unit struct {
 	Err  *ParseError
 }
 
-// cachedStmt is one memoized statement parse. The Stmt index inside err is
-// meaningless in the cache; it is re-stamped per script on reuse.
+// cachedStmt is one memoized statement parse.
 type cachedStmt struct {
 	stmt Statement
-	err  *ParseError
+	err  *cachedErr
 }
 
-// maxInterned bounds the identifier intern table of a pooled session; a
+// cachedErr is a memoized parse failure. Its Stmt, Line and Col belong to
+// the first occurrence; a reuse re-stamps the index and re-bases the
+// position, which is kept relative to the statement: line counts the
+// lines below the statement's first byte, and col is the column offset
+// from that byte on its own line (line == 0), else the absolute column.
+// An error raised at the statement's end (atEnd) sits at its terminator,
+// the semicolon or the end of the script, which lies outside the cached
+// text, so a reuse places it at the new occurrence's terminator.
+type cachedErr struct {
+	ParseError
+	line, col int
+	atEnd     bool
+}
+
+// MaxInterned bounds the identifier intern table of a pooled session; a
 // long-lived process parsing many corpora resets the table past this size
-// instead of growing without bound.
-const maxInterned = 1 << 16
+// instead of growing without bound. Memos keyed by interned names (such
+// as the schema package's type normalization) use the same bound.
+const MaxInterned = 1 << 16
 
 // Session is the reusable scratch state of a parse session: an identifier
 // intern table, a per-statement parse cache, and the token/parser buffers
 // the hot path would otherwise reallocate per statement.
 //
 // The statement cache makes re-parsing consecutive versions of the same
-// DDL file nearly free: version N+1 of a schema dump shares almost every
-// statement with version N byte-for-byte, and a cache hit returns the
-// previously built AST without lexing a single byte. Cached ASTs are
+// DDL file cheap: version N+1 of a schema dump shares almost every
+// statement with version N byte-for-byte. A hit costs the token-free
+// boundary scan over the statement's bytes and one map lookup; it builds
+// no token and returns the previously built AST. Cached ASTs are
 // shared — holders must treat statements as immutable (schema application
 // and rendering already do).
 //
@@ -56,8 +71,8 @@ type Session struct {
 	quirks    Quirks
 
 	lx    Lexer
+	lines lineCursor // script positions, counted forward as units are visited
 	toks  []Token
-	ends  []int // ends[i] is the byte offset just past token i
 	p     parser
 	lower []byte // scratch for lower-casing identifiers
 }
@@ -108,7 +123,7 @@ func (s *Session) DialectID() DialectID { return s.dialectID }
 // intern table as well. Call between unrelated inputs to bound retention.
 func (s *Session) ClearCache() {
 	clear(s.stmts)
-	if len(s.interned) > maxInterned {
+	if len(s.interned) > MaxInterned {
 		clear(s.interned)
 	}
 }
@@ -170,77 +185,81 @@ func (s *Session) internLower(t string) string {
 	return s.internBytes(buf)
 }
 
-// ParseUnits parses src into statement units in a single lexer pass: the
-// whole script is tokenized once, split on top-level semicolons, and each
-// unit's token window handed to the parser — or resolved from the
-// session's statement cache without re-parsing. The returned slice reuses
-// buf's storage when capacity allows.
-//
-// Unlike the historical two-pass path (SplitStatements re-lexed the text
-// it had already lexed), token positions are script-relative.
+// ParseUnits parses src into statement units. A scan that builds no
+// tokens finds each statement's extent (stmtScanner, which steps over
+// strings, quotes and comments with the lexer's own extent functions);
+// each statement's exact token span is then looked up in the session's
+// statement cache, and only a miss is tokenized — from its own offset,
+// its positions script-relative — and parsed. Versions of one DDL file
+// share most statements, so most bytes are scanned once and never lexed.
+// The returned slice reuses buf's storage when capacity allows.
 func (s *Session) ParseUnits(src string, buf []Unit) []Unit {
 	units := buf[:0]
-	s.lx = Lexer{src: src, line: 1, col: 1, prof: s.prof, scratch: s.lx.scratch}
-	toks, ends := s.toks[:0], s.ends[:0]
-	for {
-		t := s.lx.Next()
-		toks = append(toks, t)
-		ends = append(ends, s.lx.pos)
-		if t.Kind == EOF {
-			break
+	s.lines = startOfScript
+	sc := stmtScanner{src: src, prof: s.prof}
+	for sc.scan() {
+		if text := strings.TrimSpace(src[sc.from:sc.to]); text != "" {
+			units = append(units, s.parseUnit(src, text, &sc, len(units)))
 		}
-	}
-	s.toks, s.ends = toks, ends
-
-	depth := 0
-	start, lastEnd := 0, 0
-	unitTok := 0
-	flush := func(end, tokHi int) {
-		if text := strings.TrimSpace(src[start:end]); text != "" {
-			units = append(units, s.parseUnit(text, toks[unitTok:tokHi], len(units)))
-		}
-	}
-	for i := range toks {
-		switch toks[i].Kind {
-		case EOF:
-			flush(lastEnd, i+1)
-			return units
-		case LParen:
-			depth++
-		case RParen:
-			if depth > 0 {
-				depth--
-			}
-		case Semi:
-			if depth == 0 {
-				// The separator becomes this unit's EOF terminator, so the
-				// parser can run on the token window without copying.
-				toks[i] = Token{Kind: EOF, Line: toks[i].Line, Col: toks[i].Col}
-				flush(lastEnd, i+1)
-				start = ends[i]
-				unitTok = i + 1
-			}
-		}
-		lastEnd = ends[i]
 	}
 	return units
 }
 
-// parseUnit resolves one statement text against the cache, parsing and
-// memoizing on miss. idx is the unit's statement index within the script.
-func (s *Session) parseUnit(text string, toks []Token, idx int) Unit {
-	if c, ok := s.stmts[text]; ok {
+// parseUnit resolves the statement sc stands on against the cache,
+// lexing, parsing and memoizing it on a miss. idx is the unit's statement
+// index within the script. The cache key is the statement's exact token
+// span, so equal keys always lex to the same tokens, and a cached error's
+// position can be re-based onto the new occurrence.
+func (s *Session) parseUnit(src, text string, sc *stmtScanner, idx int) Unit {
+	key := src[sc.from:sc.to]
+	if c, ok := s.stmts[key]; ok {
 		u := Unit{Text: text, Stmt: c.stmt}
 		if c.err != nil {
-			e := *c.err
-			e.Stmt = idx
-			u.Err = &e
+			u.Err = s.rebase(c.err, src, sc, idx)
 		}
 		return u
 	}
+	line, col := s.lines.at(src, sc.from)
+	lx := &s.lx
+	lx.src, lx.pos, lx.lines, lx.prof = src[:sc.term], sc.from, s.lines, s.prof
+	toks := s.toks[:0]
+	for {
+		t := lx.Next()
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			break
+		}
+	}
+	s.toks, s.lines = toks, lx.lines
 	stmt, err := s.parseTokens(toks, idx, text)
-	s.stmts[text] = cachedStmt{stmt: stmt, err: err}
+	var ce *cachedErr
+	if err != nil {
+		eof := toks[len(toks)-1]
+		ce = &cachedErr{ParseError: *err, atEnd: err.Line == eof.Line && err.Col == eof.Col}
+		ce.line, ce.col = err.Line-line, err.Col
+		if ce.line == 0 {
+			ce.col -= col
+		}
+	}
+	s.stmts[key] = cachedStmt{stmt: stmt, err: ce}
 	return Unit{Text: text, Stmt: stmt, Err: err}
+}
+
+// rebase returns a copy of a cached error placed at the occurrence sc
+// stands on, as statement idx of the script.
+func (s *Session) rebase(ce *cachedErr, src string, sc *stmtScanner, idx int) *ParseError {
+	e := ce.ParseError
+	e.Stmt = idx
+	if ce.atEnd {
+		e.Line, e.Col = s.lines.at(src, sc.term)
+		return &e
+	}
+	line, col := s.lines.at(src, sc.from)
+	e.Line, e.Col = line+ce.line, ce.col
+	if ce.line == 0 {
+		e.Col += col
+	}
+	return &e
 }
 
 // parseTokens parses one statement from its token window (terminated by
