@@ -116,9 +116,10 @@ func (d *Delta) add(table, attr string, kind ChangeKind) {
 	}
 }
 
-// scratch holds the per-call buffers of Schemas, pooled so the hot
-// per-version diff allocates only its result: the table names, and the
-// changes, which are collected here and copied out once at exact size.
+// scratch holds the buffers of one diff, pooled so the hot per-version
+// diff allocates only its result: the sorted table names of both sides,
+// and the changes, which are collected here and copied out once at exact
+// size.
 type scratch struct {
 	oldNames, newNames []string
 	changes            []AttrChange
@@ -134,13 +135,58 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 //
 // Tables that are pointer-identical in both schemas — the common case
 // under copy-on-write reconstruction — are skipped without comparing a
-// single column.
+// single column. To diff a run of consecutive versions, use Sequence,
+// which sorts each version's table names once rather than twice.
 func Schemas(old, new *schema.Schema) *Delta {
 	sc := scratchPool.Get().(*scratch)
-	d := &Delta{Changes: sc.changes[:0]}
-	newNames := sortedTableNames(new, sc.newNames[:0])
-	oldNames := sortedTableNames(old, sc.oldNames[:0])
+	sc.oldNames = sortedTableNames(old, sc.oldNames[:0])
+	sc.newNames = sortedTableNames(new, sc.newNames[:0])
+	d := sc.diff(old, new)
+	scratchPool.Put(sc)
+	return d
+}
 
+// Sequence diffs consecutive versions of one history. Each version's
+// sorted table names, computed when it is the new side of one pair, are
+// carried into the next pair as its old side, so every version is sorted
+// once. A Sequence holds pooled scratch until Close.
+type Sequence struct {
+	sc   *scratch
+	prev *schema.Schema
+}
+
+// NewSequence starts a sequence after version first (nil for the empty
+// schema before a history's first version). It returns a value, so a
+// caller's sequence costs no allocation of its own.
+func NewSequence(first *schema.Schema) Sequence {
+	sc := scratchPool.Get().(*scratch)
+	sc.oldNames = sortedTableNames(first, sc.oldNames[:0])
+	return Sequence{sc: sc, prev: first}
+}
+
+// Next returns the delta from the previous version to s — the same delta
+// as Schemas(previous, s) — and makes s the previous version.
+func (q *Sequence) Next(s *schema.Schema) *Delta {
+	sc := q.sc
+	sc.newNames = sortedTableNames(s, sc.newNames[:0])
+	d := sc.diff(q.prev, s)
+	sc.oldNames, sc.newNames = sc.newNames, sc.oldNames
+	q.prev = s
+	return d
+}
+
+// Close returns the sequence's scratch to the pool; the sequence must not
+// be used afterwards.
+func (q *Sequence) Close() {
+	scratchPool.Put(q.sc)
+	q.sc, q.prev = nil, nil
+}
+
+// diff computes the delta from old to new, whose sorted table names are
+// in sc.oldNames and sc.newNames.
+func (sc *scratch) diff(old, new *schema.Schema) *Delta {
+	d := &Delta{Changes: sc.changes[:0]}
+	newNames, oldNames := sc.newNames, sc.oldNames
 	for i, name := range newNames {
 		if i > 0 && name == newNames[i-1] {
 			continue // duplicate order entry (rename collision)
@@ -171,7 +217,6 @@ func Schemas(old, new *schema.Schema) *Delta {
 			}
 		}
 	}
-	sc.oldNames, sc.newNames = oldNames[:0], newNames[:0]
 	changes := d.Changes
 	d.Changes = nil
 	if len(changes) > 0 {
@@ -180,7 +225,6 @@ func Schemas(old, new *schema.Schema) *Delta {
 		clear(changes) // the pooled buffer must not pin table and column names
 	}
 	sc.changes = changes[:0]
-	scratchPool.Put(sc)
 	return d
 }
 

@@ -1,6 +1,9 @@
 package diff
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -193,5 +196,46 @@ func TestChangeKindStrings(t *testing.T) {
 			t.Errorf("kind %d has bad string %q", int(k), s)
 		}
 		seen[s] = true
+	}
+}
+
+// TestSequenceMatchesSchemas pins Sequence, which carries each version's
+// sorted table names into the next pair, to pairwise Schemas calls over a
+// chain with births, drops, renames, repeats and empty versions.
+func TestSequenceMatchesSchemas(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*", "*.sql"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := []string{
+		"CREATE TABLE t (a INT);",
+		"CREATE TABLE t (a BIGINT, b TEXT); CREATE TABLE u (c INT);",
+		"CREATE TABLE t (a BIGINT, b TEXT); CREATE TABLE u (c INT); ALTER TABLE u RENAME TO t;",
+		"",
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, string(data))
+	}
+	var chain []*schema.Schema
+	for _, src := range srcs {
+		s, _ := schema.ParseAndBuild(src)
+		chain = append(chain, s, s) // a repeat: every table pointer-identical
+	}
+	chain = append(chain, nil)
+	for _, first := range []*schema.Schema{nil, chain[1]} {
+		seq := NewSequence(first)
+		prev := first
+		for i, s := range chain {
+			got, want := seq.Next(s), Schemas(prev, s)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("version %d: Sequence delta %+v, Schemas delta %+v", i, got, want)
+			}
+			prev = s
+		}
+		seq.Close()
 	}
 }

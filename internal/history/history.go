@@ -202,10 +202,10 @@ const AnomalyStmt = -1
 // index out of range.
 func Assemble(r *vcs.Repo, path string, parsed []ParsedVersion) *History {
 	h := newShell(r, path)
-	var prev *schema.Schema
+	seq := diff.NewSequence(nil)
+	defer seq.Close()
 	for _, pv := range parsed {
-		h.appendVersion(pv.Time, pv.Schema, diff.Schemas(prev, pv.Schema), pv.Notes)
-		prev = pv.Schema
+		h.appendVersion(pv.Time, pv.Schema, seq.Next(pv.Schema), pv.Notes)
 	}
 	return h
 }
@@ -233,9 +233,10 @@ func AssembleExtend(r *vcs.Repo, path string, prev *History, suffix []ParsedVers
 		h.appendVersion(pv.Time, pv.Schema, pv.Delta, stripSpanAnomalies(pv.Notes))
 		last = pv.Schema
 	}
+	seq := diff.NewSequence(last)
+	defer seq.Close()
 	for _, pv := range suffix {
-		h.appendVersion(pv.Time, pv.Schema, diff.Schemas(last, pv.Schema), pv.Notes)
-		last = pv.Schema
+		h.appendVersion(pv.Time, pv.Schema, seq.Next(pv.Schema), pv.Notes)
 	}
 	return h
 }

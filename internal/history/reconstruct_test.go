@@ -163,6 +163,15 @@ func TestReconstructorMatchesFullRebuildAdversarial(t *testing.T) {
 			"ALTER TABLE ghost ADD COLUMN x int;",
 			"ALTER TABLE ghost ADD COLUMN x int;\nCREATE TABLE ghost (id int);",
 		),
+		// Versions without tables: the COW clone of an empty schema, and
+		// a rebuild whose statements create none, must stay equal to a
+		// fresh empty schema (a nil order, not an empty one).
+		"no-tables": repoOf(
+			"-- nothing yet",
+			"-- nothing yet\n-- still nothing",
+			"DROP TABLE IF EXISTS a;",
+			"DROP TABLE IF EXISTS a;\nCREATE TABLE a (id int);\nDROP TABLE a;",
+		),
 		"whitespace-and-comments": repoOf(
 			"-- lead comment\nCREATE TABLE a (id int);",
 			"-- lead comment\nCREATE TABLE a (id int);\n\n-- trailing note\n",

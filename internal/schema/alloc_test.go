@@ -82,3 +82,30 @@ func TestAllocBudgetBuildAddsCreateTable(t *testing.T) {
 		t.Errorf("rebuilding base + adding one CREATE TABLE: %.1f allocs/run, budget %d", allocs, budget)
 	}
 }
+
+func TestAllocBudgetCloneAddTable(t *testing.T) {
+	// The common growth step of a history: the next version is a COW
+	// clone of the last one plus one new table. Sizes straddle the map's
+	// group and table boundaries, where an exactly sized clone grows.
+	for _, n := range []int{1, 7, 8, 20, 56, 100} {
+		s := New()
+		for i := 0; i < n; i++ {
+			s.AddTable(&Table{Name: fmt.Sprintf("t%d", i)})
+		}
+		added := &Table{Name: "added"}
+		allocs := testing.AllocsPerRun(100, func() {
+			s.CloneCOW().AddTable(added)
+		})
+		// The schema header, its order slice and its table map; the
+		// map is one allocation up to 8 entries and three beyond.
+		// Measured 3 and 5 (4 to 8 while the clone was sized exactly
+		// and the add grew it). No slack: the counts are exact.
+		budget := 3.0
+		if n+1 > 8 {
+			budget = 5
+		}
+		if allocs > budget {
+			t.Errorf("%d tables: COW clone plus one added table: %.1f allocs/run, budget %.0f", n, allocs, budget)
+		}
+	}
+}

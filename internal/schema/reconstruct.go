@@ -139,6 +139,8 @@ func (rc *Reconstructor) Build(src string) (*Schema, []Note) {
 		notes = append(notes, rc.prevNotes...)
 		parsed = rc.prevStmts
 		from = len(rc.prevUnits)
+	} else if n := createTables(units); n > 0 {
+		s = NewWithCapacity(n)
 	} else {
 		s = New()
 	}
@@ -170,6 +172,19 @@ func (rc *Reconstructor) Build(src string) (*Schema, []Note) {
 // re-analyzing versions N+1.. costs only the suffix.
 func (rc *Reconstructor) Prime(src string) {
 	rc.Build(src)
+}
+
+// createTables counts the CREATE TABLE statements among units: the table
+// count a rebuilt version reaches unless it drops or renames some, so its
+// schema is sized once instead of growing table by table.
+func createTables(units []sqlddl.Unit) int {
+	n := 0
+	for i := range units {
+		if _, ok := units[i].Stmt.(*sqlddl.CreateTable); ok {
+			n++
+		}
+	}
+	return n
 }
 
 // prefixMatches reports whether cur begins with exactly the units of

@@ -282,11 +282,23 @@ func (s *Schema) Seal() {
 // mutation through either schema's apply path clones the affected table,
 // so unchanged tables stay pointer-identical across versions (which the
 // differ exploits). Use Clone for a fully independent deep copy.
+//
+// The snapshot has room for one more table, so the common next version,
+// which adds a table, grows neither the map nor the order. (A nil order
+// stays nil: reflect.DeepEqual, which the differential tests use, tells
+// it from an empty one.) The map is filled from order: every table name
+// is in order, so this visits each table (repeats of a rename collision
+// only re-store it) without the cost of ranging over a map.
 func (s *Schema) CloneCOW() *Schema {
-	c := &Schema{tables: make(map[string]*Table, len(s.tables)), order: copySlice(s.order)}
-	for name, t := range s.tables {
-		t.shared = true
-		c.tables[name] = t
+	c := &Schema{tables: make(map[string]*Table, len(s.tables)+1)}
+	if s.order != nil {
+		c.order = append(make([]string, 0, len(s.order)+1), s.order...)
+	}
+	for _, name := range s.order {
+		if t, ok := s.tables[name]; ok {
+			t.shared = true
+			c.tables[name] = t
+		}
 	}
 	return c
 }

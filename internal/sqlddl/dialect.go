@@ -29,9 +29,11 @@ func (id DialectID) String() string {
 }
 
 // LexProfile configures the lexer for one dialect. All fields are
-// negations of the generic union behavior (plus Dollar, which only
-// PostgreSQL enables), so the zero value lexes exactly like the
-// pre-dialect lexer — the invariant the differential goldens pin.
+// negations of the generic union behavior (plus Dollar and
+// EscapeStrings, which only PostgreSQL enables), so the zero value lexes
+// exactly like the pre-dialect lexer — the invariant the differential
+// goldens pin. Each profile compiles to one byte-class table (lexTable)
+// that the lexer and the statement boundary scan both dispatch through.
 type LexProfile struct {
 	// NoHashComment disables '#' line comments (MySQL-only syntax).
 	NoHashComment bool
@@ -41,6 +43,14 @@ type LexProfile struct {
 	NoBracket bool
 	// Dollar enables PostgreSQL $tag$ ... $tag$ dollar-quoted strings.
 	Dollar bool
+	// NoBackslashEscape makes a backslash an ordinary character in
+	// '...' literals, as the SQL standard has it (PostgreSQL with
+	// standard_conforming_strings, SQLite); the generic union and MySQL
+	// read \' as an escaped quote.
+	NoBackslashEscape bool
+	// EscapeStrings enables PostgreSQL E'...' literals, whose body takes
+	// backslash escapes whatever NoBackslashEscape says.
+	EscapeStrings bool
 }
 
 // Quirks configures dialect-specific parse behavior. As with LexProfile,

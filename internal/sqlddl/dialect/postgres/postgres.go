@@ -1,6 +1,8 @@
 // Package postgres is the PostgreSQL dialect adapter: dollar-quoted
-// strings, '::' casts, the SERIAL identity family, no backtick/bracket
-// quoting or '#' comments, and the PostgreSQL type vocabulary.
+// strings, standard-conforming '...' strings (a backslash is an ordinary
+// character; only E'...' strings take backslash escapes), '::' casts, the
+// SERIAL identity family, no backtick/bracket quoting or '#' comments,
+// and the PostgreSQL type vocabulary.
 package postgres
 
 import core "schemaevo/internal/sqlddl"
@@ -14,7 +16,8 @@ func (dialectImpl) ID() core.DialectID { return core.DialectPostgres }
 func (dialectImpl) Name() string       { return "postgres" }
 
 func (dialectImpl) LexProfile() core.LexProfile {
-	return core.LexProfile{NoHashComment: true, NoBacktick: true, NoBracket: true, Dollar: true}
+	return core.LexProfile{NoHashComment: true, NoBacktick: true, NoBracket: true, Dollar: true,
+		NoBackslashEscape: true, EscapeStrings: true}
 }
 
 func (dialectImpl) Quirks() core.Quirks {

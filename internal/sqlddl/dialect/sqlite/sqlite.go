@@ -1,6 +1,7 @@
 // Package sqlite is the SQLite dialect adapter: loose typing (typeless
 // columns), backtick and [bracket] quoting both tolerated, no '#'
-// comments, no PostgreSQL casts, and SQLite's affinity-style vocabulary.
+// comments or backslash escapes, no PostgreSQL casts, and SQLite's
+// affinity-style vocabulary.
 package sqlite
 
 import core "schemaevo/internal/sqlddl"
@@ -15,8 +16,9 @@ func (dialectImpl) Name() string       { return "sqlite" }
 
 func (dialectImpl) LexProfile() core.LexProfile {
 	// SQLite accepts MySQL backticks and MSSQL brackets as identifier
-	// quotes, but not '#' comments or dollar quoting.
-	return core.LexProfile{NoHashComment: true}
+	// quotes, but not '#' comments or dollar quoting, and a backslash in
+	// a string literal is an ordinary character.
+	return core.LexProfile{NoHashComment: true, NoBackslashEscape: true}
 }
 
 func (dialectImpl) Quirks() core.Quirks {

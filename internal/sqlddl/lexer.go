@@ -10,25 +10,25 @@ import (
 //
 //   - line comments:  -- ...  and  # ...
 //   - block comments: /* ... */ (non-nesting, MySQL hint comments included)
-//   - string literals: 'it”s' with doubled-quote and backslash escapes
+//   - string literals: 'it”s' with doubled-quote escapes, plus backslash
+//     escapes where the profile has them (and in PostgreSQL E'...' strings)
 //   - quoted identifiers: "postgres", `mysql`, [mssql]
 //
 // The lexer never fails: malformed input (e.g. an unterminated string)
 // yields a final token covering the rest of the input, and the parser
 // decides how much of the statement is salvageable.
 //
-// Where each element starts and ends is decided by skipBlank and
-// lexemeAt, which the statement boundary scan (stmtScanner) shares, so
-// both read every dialect's quoting and comment rules from one place.
+// Each byte is classified by one lookup in the profile's lexTable;
+// skipBlank and lexemeAt dispatch on that class, and the statement
+// boundary scan (stmtScanner) reads the same table, so every dialect's
+// quoting and comment rules live in one place. Tokens carry their byte
+// offset only, and an unquoted identifier its keyword code, looked up
+// once here.
 type Lexer struct {
 	src string
 	pos int
-	// lines maps token offsets to line and column; it counts newlines
-	// only up to the tokens actually emitted.
-	lines lineCursor
-	// prof selects the dialect's quoting and comment syntax; the zero
-	// value is the generic union above.
-	prof LexProfile
+	// tab holds the dialect's byte classes; see lexTable.
+	tab *lexTable
 	// scratch backs the unescaping slow path of string and quoted-identifier
 	// tokens; the common escape-free case slices src directly instead.
 	scratch []byte
@@ -36,19 +36,19 @@ type Lexer struct {
 
 // NewLexer returns a lexer over src using the generic union profile.
 func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, lines: startOfScript}
+	return NewLexerProfile(src, LexProfile{})
 }
 
 // NewLexerProfile returns a lexer over src with a dialect lex profile.
 func NewLexerProfile(src string, prof LexProfile) *Lexer {
-	return &Lexer{src: src, lines: startOfScript, prof: prof}
+	return &Lexer{src: src, tab: tableFor(prof)}
 }
 
 // Reset re-points the lexer at src, keeping the profile and reusing the
 // scratch buffer — re-lexing many inputs through one lexer allocates
 // nothing on the escape-free path.
 func (lx *Lexer) Reset(src string) {
-	lx.src, lx.pos, lx.lines = src, 0, startOfScript
+	lx.src, lx.pos = src, 0
 }
 
 // Tokenize scans the whole input and returns the token slice, terminated
@@ -67,7 +67,8 @@ func Tokenize(src string) []Token {
 
 // lineCursor maps byte offsets of one source to 1-based line and column
 // (columns count bytes). It counts newlines forward from the last offset
-// it was asked about, so offsets must not decrease between calls.
+// it was asked about, so offsets must not decrease between calls. Only
+// error reporting asks: tokens carry offsets, not positions.
 type lineCursor struct{ off, line, lineStart int }
 
 var startOfScript = lineCursor{line: 1}
@@ -83,31 +84,130 @@ func (c *lineCursor) at(src string, off int) (line, col int) {
 	return c.line, off - c.lineStart + 1
 }
 
-// Byte classes, looked up in one table on the lexer's hot loops.
+// Character properties every profile shares, looked up in one table on
+// the extent functions' inner loops.
 const (
-	classSpace = 1 << iota
-	classIdentStart
-	classDigit
+	charSpace = 1 << iota
+	charIdentStart
+	charDigit
 )
 
-var byteClass = func() (t [256]uint8) {
+var charFlags = func() (t [256]uint8) {
 	for c := range t {
 		switch {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' || c == '\f':
-			t[c] = classSpace
+			t[c] = charSpace
 		case c == '_' || c == '$' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || c >= 0x80:
-			t[c] = classIdentStart
+			t[c] = charIdentStart
 		case '0' <= c && c <= '9':
-			t[c] = classDigit
+			t[c] = charDigit
 		}
 	}
 	return t
 }()
 
-func isSpace(c byte) bool      { return byteClass[c]&classSpace != 0 }
-func isIdentStart(c byte) bool { return byteClass[c]&classIdentStart != 0 }
-func isIdentPart(c byte) bool  { return byteClass[c]&(classIdentStart|classDigit) != 0 }
-func isDigit(c byte) bool      { return byteClass[c]&classDigit != 0 }
+func isSpace(c byte) bool      { return charFlags[c]&charSpace != 0 }
+func isIdentStart(c byte) bool { return charFlags[c]&charIdentStart != 0 }
+func isIdentPart(c byte) bool  { return charFlags[c]&(charIdentStart|charDigit) != 0 }
+func isDigit(c byte) bool      { return charFlags[c]&charDigit != 0 }
+
+// byteClass is what a byte opens when a lexical element starts at it,
+// under one LexProfile.
+type byteClass uint8
+
+const (
+	clsOp         byteClass = iota // an operator: one byte, or a digraph (opEnd)
+	clsBlank                       // whitespace
+	clsWord                        // an identifier
+	clsDigit                       // a number
+	clsDot                         // a number when a digit follows, else a Dot
+	clsLParen                      // (
+	clsRParen                      // )
+	clsComma                       // ,
+	clsSemi                        // ;
+	clsQuote                       // ' : a string with backslash escapes
+	clsStdQuote                    // ' : a string in which a backslash is ordinary
+	clsEscapeWord                  // E or e: an E'...' string when a quote follows, else an identifier
+	clsIdentQuote                  // " ` [ : a quoted identifier
+	clsDash                        // - : a line comment when another - follows, else an operator
+	clsSlash                       // / : a block comment when * follows, else an operator
+	clsHash                        // # : a line comment
+	clsDollar                      // $ : a dollar quote when a tag follows, else an identifier
+)
+
+// lexTable is a LexProfile compiled to one class per byte. Every
+// profile-dependent rule of the lexer is an entry here, so the lexer and
+// the boundary scan learn what a byte opens from one lookup.
+type lexTable struct {
+	class [256]byteClass
+	prof  LexProfile
+}
+
+func newLexTable(p LexProfile) (t lexTable) {
+	t.prof = p
+	for c := range t.class {
+		switch {
+		case isSpace(byte(c)):
+			t.class[c] = clsBlank
+		case isIdentStart(byte(c)):
+			t.class[c] = clsWord
+		case isDigit(byte(c)):
+			t.class[c] = clsDigit
+		}
+	}
+	t.class['.'] = clsDot
+	t.class['('], t.class[')'] = clsLParen, clsRParen
+	t.class[','], t.class[';'] = clsComma, clsSemi
+	t.class['\''] = clsQuote
+	if p.NoBackslashEscape {
+		t.class['\''] = clsStdQuote
+	}
+	if p.EscapeStrings {
+		t.class['E'], t.class['e'] = clsEscapeWord, clsEscapeWord
+	}
+	t.class['"'] = clsIdentQuote
+	if !p.NoBacktick {
+		t.class['`'] = clsIdentQuote
+	}
+	if !p.NoBracket {
+		t.class['['] = clsIdentQuote
+	}
+	t.class['-'], t.class['/'] = clsDash, clsSlash
+	if !p.NoHashComment {
+		t.class['#'] = clsHash
+	}
+	if p.Dollar {
+		t.class['$'] = clsDollar
+	}
+	return t
+}
+
+// lexTables holds the table of every LexProfile, indexed by the
+// profile's fields as bits (tableFor). Tables are immutable and shared.
+var lexTables = func() (ts [1 << 6]lexTable) {
+	for i := range ts {
+		ts[i] = newLexTable(LexProfile{
+			NoHashComment: i&1 != 0, NoBacktick: i&2 != 0, NoBracket: i&4 != 0,
+			Dollar: i&8 != 0, NoBackslashEscape: i&16 != 0, EscapeStrings: i&32 != 0,
+		})
+	}
+	return ts
+}()
+
+// genericTable is the table of the generic union profile.
+var genericTable = tableFor(LexProfile{})
+
+// tableFor returns the shared table of profile p.
+func tableFor(p LexProfile) *lexTable {
+	i := 0
+	for bit, on := range [...]bool{p.NoHashComment, p.NoBacktick, p.NoBracket,
+		p.Dollar, p.NoBackslashEscape, p.EscapeStrings} {
+		if on {
+			i |= 1 << bit
+		}
+	}
+	return &lexTables[i]
+}
 
 // byteAt returns src[i], or 0 past the end.
 func byteAt(src string, i int) byte {
@@ -119,19 +219,22 @@ func byteAt(src string, i int) byte {
 
 // skipBlank returns the offset of the first byte at or after i that is
 // neither whitespace nor inside a comment.
-func skipBlank(src string, i int, prof LexProfile) int {
+func skipBlank(src string, i int, tab *lexTable) int {
 	for i < len(src) {
-		c := src[i]
-		switch {
-		case isSpace(c):
+		switch tab.class[src[i]] {
+		case clsBlank:
 			i++
-		case c == '-' && byteAt(src, i+1) == '-', c == '#' && !prof.NoHashComment:
-			j := strings.IndexByte(src[i:], '\n')
-			if j < 0 {
-				return len(src)
+		case clsDash:
+			if byteAt(src, i+1) != '-' {
+				return i
 			}
-			i += j
-		case c == '/' && byteAt(src, i+1) == '*':
+			i = lineEnd(src, i)
+		case clsHash:
+			i = lineEnd(src, i)
+		case clsSlash:
+			if byteAt(src, i+1) != '*' {
+				return i
+			}
 			j := strings.Index(src[i+2:], "*/")
 			if j < 0 {
 				return len(src)
@@ -144,7 +247,17 @@ func skipBlank(src string, i int, prof LexProfile) int {
 	return i
 }
 
-// identEnd returns the end of the identifier starting at i.
+// lineEnd returns the offset of the newline that ends the line comment
+// at i, or len(src).
+func lineEnd(src string, i int) int {
+	j := strings.IndexByte(src[i:], '\n')
+	if j < 0 {
+		return len(src)
+	}
+	return i + j
+}
+
+// identEnd returns the end of the identifier run at i.
 func identEnd(src string, i int) int {
 	for i < len(src) && isIdentPart(src[i]) {
 		i++
@@ -197,20 +310,22 @@ func stringEnd(src string, i int) (body, end int, escaped bool) {
 	return len(src), len(src), escaped
 }
 
-// quotedEnd scans the quoted identifier whose opening delimiter is at i
-// and whose closing delimiter is close; a doubled closing delimiter
-// escapes it. The results are as for stringEnd.
+// quotedEnd scans the quoted element whose opening delimiter is at i and
+// whose closing delimiter is close; a doubled closing delimiter escapes
+// it. Quoted identifiers and standard string literals (no backslash
+// escapes) both end here. The results are as for stringEnd.
 func quotedEnd(src string, i int, close byte) (body, end int, escaped bool) {
-	for j := i + 1; j < len(src); j++ {
-		if src[j] == close {
-			if byteAt(src, j+1) != close {
-				return j, j + 1, escaped
-			}
-			escaped = true
-			j++
+	for j := i + 1; ; j += 2 {
+		k := strings.IndexByte(src[j:], close)
+		if k < 0 {
+			return len(src), len(src), escaped
 		}
+		j += k
+		if byteAt(src, j+1) != close {
+			return j, j + 1, escaped
+		}
+		escaped = true
 	}
-	return len(src), len(src), escaped
 }
 
 // dollarTagEnd returns the end of the PostgreSQL dollar-quote opener
@@ -240,55 +355,73 @@ func dollarEnd(src string, i, tagEnd int) (body, end int) {
 
 // lexeme is the extent of one token: its kind and end, and for strings
 // and quoted identifiers the body between the delimiters, whether the
-// body holds an escape, and the closing delimiter the escapes double.
+// body holds an escape, the closing delimiter the escapes double, and
+// whether a backslash escapes as well.
 type lexeme struct {
 	kind          Kind
 	end           int
 	body, bodyEnd int
 	escaped       bool
+	backslash     bool
 	close         byte
 }
 
 // lexemeAt sets x to the token starting at i, which must be a byte that
 // is neither blank nor past the end; the body fields are set for String
-// and QuotedIdent tokens only. Lexer.Next and stmtScanner both dispatch
-// through it, so which byte opens which element under each LexProfile is
-// decided here alone. (x is an out-parameter: returning the struct cost
-// the boundary scan about a quarter of its throughput.)
-func lexemeAt(x *lexeme, src string, i int, prof LexProfile) {
+// and QuotedIdent tokens only. It dispatches on the byte's class, so with
+// the class table it decides, for Lexer.Next and stmtScanner alike, which
+// byte opens which element under each LexProfile. (x is an
+// out-parameter: returning the struct cost the boundary scan about a
+// quarter of its throughput.)
+func lexemeAt(x *lexeme, src string, i int, tab *lexTable) {
 	c := src[i]
-	if c == '$' && prof.Dollar {
-		if tagEnd := dollarTagEnd(src, i); tagEnd > 0 {
-			x.kind, x.body, x.escaped = String, tagEnd, false
-			x.bodyEnd, x.end = dollarEnd(src, i, tagEnd)
+	switch tab.class[c] {
+	case clsWord:
+		x.kind, x.end = Ident, identEnd(src, i+1)
+	case clsDigit:
+		x.kind, x.end = Number, numberEnd(src, i)
+	case clsDot:
+		if isDigit(byteAt(src, i+1)) {
+			x.kind, x.end = Number, numberEnd(src, i)
+		} else {
+			x.kind, x.end = Dot, i+1
+		}
+	case clsQuote:
+		x.kind, x.body, x.close, x.backslash = String, i+1, '\'', true
+		x.bodyEnd, x.end, x.escaped = stringEnd(src, i)
+	case clsStdQuote:
+		x.kind, x.body, x.close, x.backslash = String, i+1, '\'', false
+		x.bodyEnd, x.end, x.escaped = quotedEnd(src, i, '\'')
+	case clsEscapeWord:
+		if byteAt(src, i+1) != '\'' {
+			x.kind, x.end = Ident, identEnd(src, i+1)
 			return
 		}
-	}
-	switch {
-	case isIdentStart(c):
-		x.kind, x.end = Ident, identEnd(src, i)
-	case isDigit(c) || (c == '.' && isDigit(byteAt(src, i+1))):
-		x.kind, x.end = Number, numberEnd(src, i)
-	case c == '\'':
-		x.kind, x.body, x.close = String, i+1, c
-		x.bodyEnd, x.end, x.escaped = stringEnd(src, i)
-	case c == '"' || (c == '`' && !prof.NoBacktick) || (c == '[' && !prof.NoBracket):
-		x.kind, x.body, x.close = QuotedIdent, i+1, c
+		x.kind, x.body, x.close, x.backslash = String, i+2, '\'', true
+		x.bodyEnd, x.end, x.escaped = stringEnd(src, i+1)
+	case clsIdentQuote:
+		x.kind, x.body, x.close, x.backslash = QuotedIdent, i+1, c, false
 		if c == '[' {
 			x.close = ']'
 		}
 		x.bodyEnd, x.end, x.escaped = quotedEnd(src, i, x.close)
-	case c == '(':
+	case clsDollar:
+		tagEnd := dollarTagEnd(src, i)
+		if tagEnd == 0 {
+			x.kind, x.end = Ident, identEnd(src, i+1)
+			return
+		}
+		x.kind, x.body, x.escaped = String, tagEnd, false
+		x.bodyEnd, x.end = dollarEnd(src, i, tagEnd)
+	case clsLParen:
 		x.kind, x.end = LParen, i+1
-	case c == ')':
+	case clsRParen:
 		x.kind, x.end = RParen, i+1
-	case c == ',':
+	case clsComma:
 		x.kind, x.end = Comma, i+1
-	case c == ';':
+	case clsSemi:
 		x.kind, x.end = Semi, i+1
-	case c == '.':
-		x.kind, x.end = Dot, i+1
-	default:
+	default: // clsOp, and a - or / that opens no comment
 		x.kind, x.end = Op, opEnd(src, i)
 	}
 }
@@ -296,25 +429,27 @@ func lexemeAt(x *lexeme, src string, i int, prof LexProfile) {
 // Next returns the next token.
 func (lx *Lexer) Next() Token {
 	src := lx.src
-	i := skipBlank(src, lx.pos, lx.prof)
-	line, col := lx.lines.at(src, i)
+	i := skipBlank(src, lx.pos, lx.tab)
 	if i >= len(src) {
 		lx.pos = i
-		return Token{Kind: EOF, Line: line, Col: col}
+		return Token{Kind: EOF, Off: i}
 	}
 	var x lexeme
-	lexemeAt(&x, src, i, lx.prof)
+	lexemeAt(&x, src, i, lx.tab)
 	lx.pos = x.end
-	t := Token{Kind: x.kind, Line: line, Col: col}
+	t := Token{Kind: x.kind, Off: i}
 	switch x.kind {
-	case Ident, Number:
+	case Ident:
+		t.Text = src[i:x.end]
+		t.kw = lookupKeyword(t.Text)
+	case Number:
 		t.Text = src[i:x.end]
 	case String, QuotedIdent:
 		// Escape-free bodies, the overwhelmingly common case, are
 		// zero-copy slices of the source.
 		t.Text = src[x.body:x.bodyEnd]
 		if x.escaped {
-			t.Text = lx.unescape(t.Text, x.close, x.kind == String)
+			t.Text = lx.unescape(t.Text, x.close, x.backslash)
 		}
 	default:
 		t.Text = opText(src, i, x.end)
@@ -323,8 +458,8 @@ func (lx *Lexer) Next() Token {
 }
 
 // unescape returns a copy of a quoted body with each doubled close byte —
-// and, in string literals, each backslash escape — resolved, built in the
-// lexer's scratch buffer.
+// and, when backslash is set, each backslash escape — resolved, built in
+// the lexer's scratch buffer.
 func (lx *Lexer) unescape(body string, close byte, backslash bool) string {
 	buf := lx.scratch[:0]
 	for j := 0; j < len(body); j++ {
@@ -394,12 +529,17 @@ func opText(src string, i, end int) string {
 }
 
 // stmtScanner walks a script statement by statement without building
-// tokens: it steps over lexical elements with the lexer's own extent
-// functions, tracking parenthesis depth, and stops at each top-level
+// tokens, tracking parenthesis depth, and stops at each top-level
 // semicolon. Each statement is reported as offsets into the script.
+//
+// The scan reads the profile's class table one byte at a time. It steps
+// over blanks, identifiers, numbers, operators and parentheses in place,
+// with the lexer's own extent functions, and dispatches through skipBlank
+// and lexemeAt only on a byte that can open a comment, a quoted element
+// or a dollar quote: the bytes whose meaning the profile decides.
 type stmtScanner struct {
 	src  string
-	prof LexProfile
+	tab  *lexTable
 	next int // offset where the next statement starts; > len(src) when done
 	// from is the offset of the statement's first token or comment, to
 	// the end of its last token (from == to when it has none), and term
@@ -414,32 +554,56 @@ func (sc *stmtScanner) scan() bool {
 	if i > len(src) {
 		return false
 	}
-	start, depth := i, 0
+	class := &sc.tab.class
+	start, to, depth := i, i, 0
+	sc.term = len(src)
 	var x lexeme
-	sc.to, sc.term = i, len(src)
-tokens:
-	for {
-		j := skipBlank(src, i, sc.prof)
-		if j >= len(src) {
-			break
-		}
-		lexemeAt(&x, src, j, sc.prof)
-		switch x.kind {
-		case Semi:
-			if depth == 0 {
-				sc.term = j
-				break tokens
-			}
-		case LParen:
+scan:
+	for i < len(src) {
+		switch class[src[i]] {
+		case clsBlank:
+			i++
+			continue
+		case clsWord:
+			i = identEnd(src, i+1)
+		case clsDigit:
+			i = numberEnd(src, i)
+		case clsOp, clsComma:
+			// A digraph's second byte is an operator byte too, so
+			// stepping one byte at a time ends where opEnd would.
+			i++
+		case clsLParen:
 			depth++
-		case RParen:
+			i++
+		case clsRParen:
 			if depth > 0 {
 				depth--
 			}
+			i++
+		case clsSemi:
+			if depth == 0 {
+				sc.term = i
+				break scan
+			}
+			i++
+		case clsEscapeWord:
+			if byteAt(src, i+1) != '\'' {
+				i = identEnd(src, i+1)
+				break
+			}
+			lexemeAt(&x, src, i, sc.tab)
+			i = x.end
+		default:
+			if j := skipBlank(src, i, sc.tab); j > i {
+				i = j // a comment
+				continue
+			}
+			lexemeAt(&x, src, i, sc.tab)
+			i = x.end
 		}
-		i, sc.to = x.end, x.end
+		to = i
 	}
-	sc.from = start
+	sc.from, sc.to = start, to
 	for sc.from < sc.to && isSpace(src[sc.from]) {
 		sc.from++
 	}
@@ -454,7 +618,7 @@ tokens:
 // This is used by callers that want per-statement error recovery.
 func SplitStatements(src string) []string {
 	var out []string
-	sc := stmtScanner{src: src}
+	sc := stmtScanner{src: src, tab: genericTable}
 	for sc.scan() {
 		if s := strings.TrimSpace(src[sc.from:sc.to]); s != "" {
 			out = append(out, s)
@@ -470,7 +634,9 @@ func QuoteString(v string) string {
 }
 
 // ParseError describes a failure to parse a single statement. The
-// statement index and position refer to the original script.
+// statement index and position refer to the original script; the
+// position is worked out from the offending token's offset only when the
+// error is built.
 type ParseError struct {
 	Stmt    int    // 0-based statement index within the script
 	Line    int    // 1-based line of the offending token

@@ -1,6 +1,7 @@
 package sqlddl
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -102,12 +103,17 @@ func TestTokenizeOperators(t *testing.T) {
 }
 
 func TestTokenizePositions(t *testing.T) {
-	toks := Tokenize("a\n  bb")
-	if toks[0].Line != 1 || toks[0].Col != 1 {
-		t.Errorf("token a at %d:%d, want 1:1", toks[0].Line, toks[0].Col)
+	src := "a\n  bb -- c\n"
+	toks := Tokenize(src)
+	for i, want := range []int{0, 4, len(src)} {
+		if toks[i].Off != want {
+			t.Errorf("token %v at offset %d, want %d", toks[i], toks[i].Off, want)
+		}
 	}
-	if toks[1].Line != 2 || toks[1].Col != 3 {
-		t.Errorf("token bb at %d:%d, want 2:3", toks[1].Line, toks[1].Col)
+	// Line and column are worked out from the offset only for errors.
+	lines := startOfScript
+	if line, col := lines.at(src, toks[1].Off); line != 2 || col != 3 {
+		t.Errorf("token bb at %d:%d, want 2:3", line, col)
 	}
 }
 
@@ -198,6 +204,23 @@ func TestSplitStatementsCoversInput(t *testing.T) {
 	for i := range rejoined {
 		if rejoined[i].Kind != origNoSemi[i].Kind || rejoined[i].Text != origNoSemi[i].Text {
 			t.Errorf("token %d: %v vs %v", i, rejoined[i], origNoSemi[i])
+		}
+	}
+}
+
+// TestLexTablePerProfile: tableFor hands every LexProfile the table built
+// from exactly that profile, so no dialect rule is lost in the indexing.
+func TestLexTablePerProfile(t *testing.T) {
+	if n := reflect.TypeOf(LexProfile{}).NumField(); len(lexTables) != 1<<n {
+		t.Fatalf("%d tables for a profile of %d fields", len(lexTables), n)
+	}
+	seen := map[*lexTable]bool{}
+	for i := range lexTables {
+		p := lexTables[i].prof
+		if tab := tableFor(p); tab.prof != p || seen[tab] {
+			t.Fatalf("profile %+v maps to the table of %+v", p, tab.prof)
+		} else {
+			seen[tab] = true
 		}
 	}
 }

@@ -6,19 +6,22 @@ import "strings"
 // oracle for Session.ParseUnits: a byte-at-a-time lexer that tracks line
 // and column as it advances, a split on depth-0 semicolon tokens, and a
 // fresh parse of every statement's token window with no statement cache.
-// Its positions are true script positions by construction, so it also
-// pins the re-basing of cached errors.
+// Its positions are true script positions by construction — each token's
+// line and column are recorded as the lexer reaches it — so it also pins
+// the re-basing of cached errors and the offset-to-position mapping.
 
 // OracleParseUnits parses src the reference way under s's dialect,
 // using s only for its parser and intern table.
 func OracleParseUnits(s *Session, src string) []Unit {
-	lx := oracleLexer{src: src, line: 1, col: 1, prof: s.prof}
+	lx := oracleLexer{src: src, line: 1, col: 1, prof: s.tab.prof}
 	var toks []Token
-	var ends []int // ends[i] is the byte offset just past token i
+	var ends []int          // ends[i] is the byte offset just past token i
+	pos := map[int][2]int{} // token offset -> line and column
 	for {
 		t := lx.Next()
 		toks = append(toks, t)
 		ends = append(ends, lx.pos)
+		pos[t.Off] = [2]int{lx.tokLine, lx.tokCol}
 		if t.Kind == EOF {
 			break
 		}
@@ -27,7 +30,10 @@ func OracleParseUnits(s *Session, src string) []Unit {
 	depth, start, lastEnd, unitTok := 0, 0, 0, 0
 	flush := func(end, tokHi int) {
 		if text := strings.TrimSpace(src[start:end]); text != "" {
-			stmt, err := s.parseTokens(toks[unitTok:tokHi], len(units), text)
+			stmt, err, off := s.parseTokens(toks[unitTok:tokHi], len(units), text)
+			if err != nil {
+				err.Line, err.Col = pos[off][0], pos[off][1]
+			}
 			units = append(units, Unit{Text: text, Stmt: stmt, Err: err})
 		}
 	}
@@ -45,7 +51,7 @@ func OracleParseUnits(s *Session, src string) []Unit {
 		case Semi:
 			if depth == 0 {
 				// The separator becomes this unit's EOF terminator.
-				toks[i] = Token{Kind: EOF, Line: toks[i].Line, Col: toks[i].Col}
+				toks[i] = Token{Kind: EOF, Off: toks[i].Off}
 				flush(lastEnd, i+1)
 				start = ends[i]
 				unitTok = i + 1
@@ -61,6 +67,8 @@ type oracleLexer struct {
 	pos       int
 	line, col int
 	prof      LexProfile
+	// tokLine and tokCol locate the last token returned.
+	tokLine, tokCol int
 }
 
 func (lx *oracleLexer) peek() byte { return lx.peekAt(0) }
@@ -113,13 +121,17 @@ func (lx *oracleLexer) skipSpaceAndComments() {
 
 func (lx *oracleLexer) Next() Token {
 	lx.skipSpaceAndComments()
-	t := Token{Line: lx.line, Col: lx.col}
+	t := Token{Off: lx.pos}
+	lx.tokLine, lx.tokCol = lx.line, lx.col
 	if lx.pos >= len(lx.src) {
 		return t
 	}
 	start := lx.pos
 	c := lx.peek()
 	switch {
+	case (c == 'E' || c == 'e') && lx.prof.EscapeStrings && lx.peekAt(1) == '\'':
+		lx.advance()
+		t.Kind, t.Text = String, lx.quoted('\'', true)
 	case c == '$' && lx.prof.Dollar && lx.dollarQuoteAhead():
 		lx.advance()
 		for lx.peek() != '$' {
@@ -142,6 +154,7 @@ func (lx *oracleLexer) Next() Token {
 			lx.advance()
 		}
 		t.Kind, t.Text = Ident, lx.src[start:lx.pos]
+		t.kw = lookupKeyword(t.Text)
 	case isDigit(c) || (c == '.' && isDigit(lx.peekAt(1))):
 		seenDot := false
 		for lx.pos < len(lx.src) {
@@ -165,7 +178,7 @@ func (lx *oracleLexer) Next() Token {
 		}
 		t.Kind, t.Text = Number, lx.src[start:lx.pos]
 	case c == '\'':
-		t.Kind, t.Text = String, lx.quoted('\'', true)
+		t.Kind, t.Text = String, lx.quoted('\'', !lx.prof.NoBackslashEscape)
 	case c == '"':
 		t.Kind, t.Text = QuotedIdent, lx.quoted('"', false)
 	case c == '`' && !lx.prof.NoBacktick:
@@ -210,8 +223,9 @@ func (lx *oracleLexer) dollarQuoteAhead() bool {
 }
 
 // quoted scans a literal or quoted identifier from its opening delimiter:
-// a doubled close byte stands for itself, and in string literals a
-// backslash escapes the next byte. An unterminated one runs to the end.
+// a doubled close byte stands for itself, and with backslash set (string
+// literals outside PostgreSQL and SQLite, and E'...' strings) a backslash
+// escapes the next byte. An unterminated one runs to the end.
 func (lx *oracleLexer) quoted(close byte, backslash bool) string {
 	lx.advance()
 	var buf []byte

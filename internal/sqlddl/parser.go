@@ -38,7 +38,7 @@ func ParseWith(d Dialect, src string) *Script {
 func ParseStatement(text string) (Statement, error) {
 	s := AcquireSession()
 	defer ReleaseSession(s)
-	s.lx = Lexer{src: text, lines: startOfScript, scratch: s.lx.scratch}
+	s.lx = Lexer{src: text, tab: genericTable, scratch: s.lx.scratch}
 	toks := s.toks[:0]
 	for {
 		t := s.lx.Next()
@@ -48,8 +48,10 @@ func ParseStatement(text string) (Statement, error) {
 		}
 	}
 	s.toks = toks
-	stmt, perr := s.parseTokens(toks, 0, text)
+	stmt, perr, off := s.parseTokens(toks, 0, text)
 	if perr != nil {
+		lines := startOfScript
+		perr.Line, perr.Col = lines.at(text, off)
 		return nil, perr
 	}
 	return stmt, nil
@@ -61,6 +63,7 @@ type parser struct {
 	pos     int
 	stmtIdx int
 	text    string
+	errOff  int // offset of the token a failure was raised at
 	// q holds the session dialect's parse quirks, copied once per
 	// statement so the hot path never dispatches through the interface.
 	q Quirks
@@ -106,12 +109,14 @@ func (p *parser) fail(msg string) {
 	if len(excerpt) > 60 {
 		excerpt = excerpt[:60] + "..."
 	}
-	panic(&ParseError{Stmt: p.stmtIdx, Line: t.Line, Col: t.Col, Msg: msg, Excerpt: excerpt})
+	p.errOff = t.Off
+	panic(&ParseError{Stmt: p.stmtIdx, Msg: msg, Excerpt: excerpt})
 }
 
-// accept consumes the next token if it matches the keyword.
-func (p *parser) accept(keyword string) bool {
-	if p.cur().Match(keyword) {
+// accept consumes the next token if it is the keyword. Keywords are
+// matched by the code the lexer gave the token, never by its text.
+func (p *parser) accept(kw keyword) bool {
+	if p.toks[p.pos].kw == kw {
 		p.pos++
 		return true
 	}
@@ -119,9 +124,9 @@ func (p *parser) accept(keyword string) bool {
 }
 
 // acceptSeq consumes the keywords if they all match in order.
-func (p *parser) acceptSeq(kws ...string) bool {
+func (p *parser) acceptSeq(kws ...keyword) bool {
 	for i, kw := range kws {
-		if p.pos+i >= len(p.toks) || !p.toks[p.pos+i].Match(kw) {
+		if p.pos+i >= len(p.toks) || p.toks[p.pos+i].kw != kw {
 			return false
 		}
 	}
@@ -129,9 +134,9 @@ func (p *parser) acceptSeq(kws ...string) bool {
 	return true
 }
 
-func (p *parser) expect(keyword string) {
-	if !p.accept(keyword) {
-		p.fail("expected " + strings.ToUpper(keyword))
+func (p *parser) expect(kw keyword) {
+	if !p.accept(kw) {
+		p.fail("expected " + strings.ToUpper(keywordText[kw]))
 	}
 }
 
@@ -176,14 +181,14 @@ func (p *parser) identValue(t Token) string {
 
 func (p *parser) parse() Statement {
 	switch {
-	case p.accept("create"):
+	case p.accept(kwCreate):
 		return p.parseCreate()
-	case p.accept("alter"):
-		if p.accept("table") {
+	case p.accept(kwAlter):
+		if p.accept(kwTable) {
 			return p.parseAlterTable()
 		}
 		return p.rawRest("ALTER")
-	case p.accept("drop"):
+	case p.accept(kwDrop):
 		return p.parseDrop()
 	default:
 		verb := strings.ToUpper(p.cur().Text)
@@ -203,26 +208,26 @@ func (p *parser) rawRest(verb string) Statement {
 }
 
 func (p *parser) parseCreate() Statement {
-	p.accept("or")
-	p.accept("replace")
-	temp := p.accept("temporary") || p.accept("temp") || p.accept("global") || p.accept("local")
-	p.accept("temporary") // GLOBAL TEMPORARY
-	unique := p.accept("unique")
-	p.accept("fulltext")
-	p.accept("spatial")
+	p.accept(kwOr)
+	p.accept(kwReplace)
+	temp := p.accept(kwTemporary) || p.accept(kwTemp) || p.accept(kwGlobal) || p.accept(kwLocal)
+	p.accept(kwTemporary) // GLOBAL TEMPORARY
+	unique := p.accept(kwUnique)
+	p.accept(kwFulltext)
+	p.accept(kwSpatial)
 	switch {
-	case p.accept("table"):
+	case p.accept(kwTable):
 		return p.parseCreateTable(temp)
-	case p.accept("index"):
+	case p.accept(kwIndex):
 		return p.parseCreateIndex(unique)
-	case p.accept("view"):
-		p.accept("if")
-		p.accept("not")
-		p.accept("exists")
+	case p.accept(kwView):
+		p.accept(kwIf)
+		p.accept(kwNot)
+		p.accept(kwExists)
 		name := p.ident()
 		return p.finishRaw(&CreateView{Name: name})
-	case p.accept("materialized"):
-		p.expect("view")
+	case p.accept(kwMaterialized):
+		p.expect(kwView)
 		name := p.ident()
 		return p.finishRaw(&CreateView{Name: name})
 	default:
@@ -240,11 +245,11 @@ func (p *parser) finishRaw(s Statement) Statement {
 
 func (p *parser) parseCreateTable(temp bool) Statement {
 	ct := &CreateTable{Temporary: temp}
-	if p.acceptSeq("if", "not", "exists") {
+	if p.acceptSeq(kwIf, kwNot, kwExists) {
 		ct.IfNotExists = true
 	}
 	ct.Name = p.ident()
-	if p.accept("as") || p.accept("like") {
+	if p.accept(kwAs) || p.accept(kwLike) {
 		// CREATE TABLE t AS SELECT ... / LIKE other — no explicit column
 		// list; treat as an empty logical definition.
 		return p.finishRaw(ct)
@@ -290,24 +295,18 @@ func (p *parser) parseCreateTable(temp bool) Statement {
 // constraintLeader reports whether the parser is positioned at a
 // table-level constraint rather than a column definition.
 func (p *parser) constraintLeader() bool {
-	t := p.cur()
-	if t.Kind != Ident {
-		return false
-	}
-	switch {
-	case t.Match("constraint"), t.Match("foreign"), t.Match("check"), t.Match("exclude"):
+	switch p.cur().kw {
+	case kwConstraint, kwForeign, kwCheck, kwExclude, kwFulltext, kwSpatial:
 		return true
-	case t.Match("primary"):
-		return p.peek().Match("key")
-	case t.Match("unique"):
+	case kwPrimary:
+		return p.peek().kw == kwKey
+	case kwUnique:
 		// UNIQUE (cols) / UNIQUE KEY name (cols) at table level; a column
-		// named "unique" would be quoted.
-		return p.peek().Kind == LParen || p.peek().Match("key") || p.peek().Match("index") || p.peek().IsIdent()
-	case t.Match("key"), t.Match("index"):
+		// named "unique" would be quoted. (KEY and INDEX are identifiers.)
+		return p.peek().Kind == LParen || p.peek().IsIdent()
+	case kwKey, kwIndex:
 		// KEY name (cols) — MySQL secondary index inside CREATE TABLE.
 		return p.peek().IsIdent() || p.peek().Kind == LParen
-	case t.Match("fulltext"), t.Match("spatial"):
-		return true
 	}
 	return false
 }
@@ -321,55 +320,58 @@ func (p *parser) tryTableConstraint() (TableConstraint, bool) {
 
 func (p *parser) parseTableConstraint() TableConstraint {
 	var c TableConstraint
-	if p.accept("constraint") {
-		if p.cur().IsIdent() && !p.cur().Match("primary") && !p.cur().Match("foreign") &&
-			!p.cur().Match("unique") && !p.cur().Match("check") {
-			c.Name = p.ident()
+	if p.accept(kwConstraint) {
+		switch p.cur().kw {
+		case kwPrimary, kwForeign, kwUnique, kwCheck:
+		default:
+			if p.cur().IsIdent() {
+				c.Name = p.ident()
+			}
 		}
 	}
 	switch {
-	case p.acceptSeq("primary", "key"):
+	case p.acceptSeq(kwPrimary, kwKey):
 		c.Kind = PrimaryKeyConstraint
 		p.skipIndexMethod()
 		c.Columns = p.parseColumnList()
-	case p.acceptSeq("foreign", "key"):
+	case p.acceptSeq(kwForeign, kwKey):
 		c.Kind = ForeignKeyConstraint
 		if p.cur().IsIdent() { // optional index name (MySQL)
 			c.Name = p.ident()
 		}
 		c.Columns = p.parseColumnList()
-		p.expect("references")
+		p.expect(kwReferences)
 		c.Ref = p.parseFKRef()
-	case p.accept("unique"):
+	case p.accept(kwUnique):
 		c.Kind = UniqueConstraint
-		p.accept("key")
-		p.accept("index")
+		p.accept(kwKey)
+		p.accept(kwIndex)
 		if p.cur().IsIdent() {
 			c.Name = p.ident()
 		}
 		p.skipIndexMethod()
 		c.Columns = p.parseColumnList()
-	case p.accept("check"):
+	case p.accept(kwCheck):
 		c.Kind = CheckConstraint
 		c.Expr = p.parenRaw()
-		p.accept("not")
-		p.accept("enforced")
-	case p.accept("fulltext") || p.accept("spatial"):
+		p.accept(kwNot)
+		p.accept(kwEnforced)
+	case p.accept(kwFulltext) || p.accept(kwSpatial):
 		c.Kind = IndexConstraint
-		p.accept("key")
-		p.accept("index")
+		p.accept(kwKey)
+		p.accept(kwIndex)
 		if p.cur().IsIdent() {
 			c.Name = p.ident()
 		}
 		c.Columns = p.parseColumnList()
-	case p.accept("key") || p.accept("index"):
+	case p.accept(kwKey) || p.accept(kwIndex):
 		c.Kind = IndexConstraint
 		if p.cur().IsIdent() {
 			c.Name = p.ident()
 		}
 		p.skipIndexMethod()
 		c.Columns = p.parseColumnList()
-	case p.accept("exclude"):
+	case p.accept(kwExclude):
 		c.Kind = CheckConstraint
 		// EXCLUDE [USING m] (elements) — treat as an opaque check.
 		p.skipIndexMethod()
@@ -380,23 +382,23 @@ func (p *parser) parseTableConstraint() TableConstraint {
 	// Trailing constraint attributes common to dialects.
 	for {
 		switch {
-		case p.acceptSeq("on", "delete"):
+		case p.acceptSeq(kwOn, kwDelete):
 			act := p.refAction()
 			if c.Ref != nil {
 				c.Ref.OnDelete = act
 			}
-		case p.acceptSeq("on", "update"):
+		case p.acceptSeq(kwOn, kwUpdate):
 			act := p.refAction()
 			if c.Ref != nil {
 				c.Ref.OnUpdate = act
 			}
-		case p.accept("deferrable"), p.acceptSeq("not", "deferrable"),
-			p.acceptSeq("initially", "deferred"), p.acceptSeq("initially", "immediate"),
-			p.accept("enable"), p.accept("disable"):
+		case p.accept(kwDeferrable), p.acceptSeq(kwNot, kwDeferrable),
+			p.acceptSeq(kwInitially, kwDeferred), p.acceptSeq(kwInitially, kwImmediate),
+			p.accept(kwEnable), p.accept(kwDisable):
 			// constraint timing attributes — schema-neutral
-		case p.accept("using"):
+		case p.accept(kwUsing):
 			p.next() // method name
-		case p.accept("match"):
+		case p.accept(kwMatch):
 			p.next() // FULL | PARTIAL | SIMPLE
 		default:
 			return c
@@ -405,22 +407,22 @@ func (p *parser) parseTableConstraint() TableConstraint {
 }
 
 func (p *parser) skipIndexMethod() {
-	if p.accept("using") {
+	if p.accept(kwUsing) {
 		p.next() // btree, hash, gin, ...
 	}
 }
 
 func (p *parser) refAction() string {
 	switch {
-	case p.accept("cascade"):
+	case p.accept(kwCascade):
 		return "CASCADE"
-	case p.accept("restrict"):
+	case p.accept(kwRestrict):
 		return "RESTRICT"
-	case p.acceptSeq("set", "null"):
+	case p.acceptSeq(kwSet, kwNull):
 		return "SET NULL"
-	case p.acceptSeq("set", "default"):
+	case p.acceptSeq(kwSet, kwDefault):
 		return "SET DEFAULT"
-	case p.acceptSeq("no", "action"):
+	case p.acceptSeq(kwNo, kwAction):
 		return "NO ACTION"
 	}
 	p.fail("expected referential action")
@@ -443,8 +445,8 @@ func (p *parser) parseColumnList() []string {
 			if p.cur().Kind == LParen { // prefix length, e.g. name(10)
 				p.skipParens()
 			}
-			p.accept("asc")
-			p.accept("desc")
+			p.accept(kwAsc)
+			p.accept(kwDesc)
 		}
 		if p.cur().Kind == Comma {
 			p.next()
@@ -463,45 +465,18 @@ func (p *parser) parseFKRef() *FKRef {
 	}
 	for {
 		switch {
-		case p.acceptSeq("on", "delete"):
+		case p.acceptSeq(kwOn, kwDelete):
 			ref.OnDelete = p.refAction()
-		case p.acceptSeq("on", "update"):
+		case p.acceptSeq(kwOn, kwUpdate):
 			ref.OnUpdate = p.refAction()
-		case p.accept("match"):
+		case p.accept(kwMatch):
 			p.next()
-		case p.accept("deferrable"), p.acceptSeq("not", "deferrable"),
-			p.acceptSeq("initially", "deferred"), p.acceptSeq("initially", "immediate"):
+		case p.accept(kwDeferrable), p.acceptSeq(kwNot, kwDeferrable),
+			p.acceptSeq(kwInitially, kwDeferred), p.acceptSeq(kwInitially, kwImmediate):
 		default:
 			return ref
 		}
 	}
-}
-
-// typeSuffixWords are identifiers that extend a multi-word data type.
-var typeSuffixWords = map[string]bool{
-	"precision": true, "varying": true, "unsigned": true, "signed": true,
-	"zerofill": true, "with": true, "without": true, "time": true,
-	"zone": true, "local": true, "large": true, "object": true,
-}
-
-// isTypeSuffixWord reports whether the identifier text names a type suffix
-// word, folding ASCII case without allocating.
-func isTypeSuffixWord(t string) bool {
-	if len(t) > len("precision") {
-		return false
-	}
-	var b [len("precision")]byte
-	for i := 0; i < len(t); i++ {
-		c := t[i]
-		if c >= 0x80 {
-			return false
-		}
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		b[i] = c
-	}
-	return typeSuffixWords[string(b[:len(t)])]
 }
 
 // appendLowerIdent appends the ASCII-lower-cased identifier text; inputs
@@ -531,7 +506,7 @@ func (p *parser) parseType() string {
 	buf := p.typeBuf[:0]
 	buf = appendLowerIdent(buf, p.expectIdentText())
 	// "character varying", "double precision" — second word before args.
-	for p.cur().Kind == Ident && isTypeSuffixWord(p.cur().Text) {
+	for p.cur().kw.isTypeSuffix() {
 		buf = append(buf, ' ')
 		buf = appendLowerIdent(buf, p.next().Text)
 	}
@@ -540,7 +515,7 @@ func (p *parser) parseType() string {
 		buf = p.parenRawInnerBuf(buf)
 		buf = append(buf, ')')
 	}
-	for p.cur().Kind == Ident && isTypeSuffixWord(p.cur().Text) {
+	for p.cur().kw.isTypeSuffix() {
 		buf = append(buf, ' ')
 		buf = appendLowerIdent(buf, p.next().Text)
 	}
@@ -562,7 +537,7 @@ func (p *parser) parseType() string {
 		}
 		break
 	}
-	if p.accept("array") {
+	if p.accept(kwArray) {
 		buf = append(buf, " array"...)
 	}
 	p.typeBuf = buf[:0]
@@ -658,18 +633,16 @@ func (p *parser) skipParens() {
 	}
 }
 
-var serialTypes = map[string]bool{"serial": true, "bigserial": true, "smallserial": true, "serial4": true, "serial8": true, "serial2": true}
-
 func (p *parser) parseColumnDef() ColumnDef {
 	var col ColumnDef
 	col.Name = p.ident()
-	if !p.q.NoTypeless && (!p.cur().IsIdent() || p.constraintKeyword(p.cur()) || p.cur().Match("unique")) {
+	if !p.q.NoTypeless && (!p.cur().IsIdent() || p.constraintKeyword(p.cur()) || p.cur().kw == kwUnique) {
 		// SQLite allows typeless columns ("id PRIMARY KEY").
 		col.Type = ""
 	} else {
 		col.Type = p.parseType()
 	}
-	if !p.q.NoSerialAuto && serialTypes[col.Type] {
+	if !p.q.NoSerialAuto && isSerialType(col.Type) {
 		col.AutoIncrement = true
 		col.NotNull = true
 	}
@@ -679,80 +652,117 @@ func (p *parser) parseColumnDef() ColumnDef {
 }
 
 // parseColumnConstraint consumes one trailing column attribute; it
-// reports false when the column definition is complete.
+// reports false when the column definition is complete. It switches on
+// the current token's keyword code, so a column's end (a comma, a
+// parenthesis, any non-keyword) is known after one comparison.
 func (p *parser) parseColumnConstraint(col *ColumnDef) bool {
-	switch {
-	case p.accept("constraint"):
+	next := p.peek().kw
+	switch p.cur().kw {
+	case kwConstraint:
+		p.pos++
 		if p.cur().IsIdent() && !p.constraintKeyword(p.cur()) {
 			p.ident() // named inline constraint; name not retained
 		}
-		return true
-	case p.acceptSeq("not", "null"):
-		col.NotNull = true
-	case p.accept("null"):
-		// explicit NULL — default nullability
-	case p.accept("default"):
+	case kwNot:
+		switch next {
+		case kwNull:
+			col.NotNull = true
+		case kwDeferrable:
+		default:
+			return false
+		}
+		p.pos += 2
+	case kwNull:
+		p.pos++ // explicit NULL — default nullability
+	case kwDefault:
+		p.pos++
 		col.Default = p.parseDefaultExpr()
 		col.HasDefault = true
-	case p.acceptSeq("primary", "key"):
+	case kwPrimary:
+		if next != kwKey {
+			return false
+		}
+		p.pos += 2
 		col.PrimaryKey = true
 		col.NotNull = true
-		p.accept("asc")
-		p.accept("desc")
-		p.accept("autoincrement") // SQLite: PRIMARY KEY AUTOINCREMENT
-	case p.accept("unique"):
+		p.accept(kwAsc)
+		p.accept(kwDesc)
+		p.accept(kwAutoincrement) // SQLite: PRIMARY KEY AUTOINCREMENT
+	case kwUnique:
+		p.pos++
 		col.Unique = true
-		p.accept("key")
-	case p.accept("auto_increment"), p.accept("autoincrement"):
+		p.accept(kwKey)
+	case kwAutoIncrement, kwAutoincrement:
+		p.pos++
 		col.AutoIncrement = true
-	case p.accept("identity"):
+	case kwIdentity:
+		p.pos++
 		col.AutoIncrement = true
 		if p.cur().Kind == LParen {
 			p.skipParens()
 		}
-	case p.accept("generated"):
+	case kwGenerated:
 		// GENERATED {ALWAYS | BY DEFAULT} AS IDENTITY [(...)]
 		// GENERATED ALWAYS AS (expr) [STORED | VIRTUAL]
-		p.accept("always")
-		p.acceptSeq("by", "default")
-		p.expect("as")
-		if p.accept("identity") {
+		p.pos++
+		p.accept(kwAlways)
+		p.acceptSeq(kwBy, kwDefault)
+		p.expect(kwAs)
+		if p.accept(kwIdentity) {
 			col.AutoIncrement = true
 			if p.cur().Kind == LParen {
 				p.skipParens()
 			}
 		} else if p.cur().Kind == LParen {
 			p.skipParens()
-			p.accept("stored")
-			p.accept("virtual")
+			p.accept(kwStored)
+			p.accept(kwVirtual)
 		}
-	case p.accept("references"):
+	case kwReferences:
+		p.pos++
 		col.References = p.parseFKRef()
-	case p.accept("check"):
+	case kwCheck:
+		p.pos++
 		p.parenRaw()
-	case p.accept("comment"):
+	case kwComment:
+		p.pos++
 		if p.cur().Kind == String {
 			col.Comment = p.next().Text
 		}
-	case p.accept("collate"):
-		p.next() // collation name
-	case p.acceptSeq("character", "set"), p.acceptSeq("charset"):
-		p.next()
-	case p.acceptSeq("on", "update"):
-		// MySQL: ON UPDATE CURRENT_TIMESTAMP[(n)]
-		p.next()
-		if p.cur().Kind == LParen {
-			p.skipParens()
+	case kwCollate, kwCharset:
+		p.pos++
+		p.next() // collation or character set name
+	case kwCharacter:
+		if next != kwSet {
+			return false
 		}
-	case p.acceptSeq("on", "delete"):
-		act := p.refAction()
-		if col.References != nil {
-			col.References.OnDelete = act
+		p.pos += 2
+		p.next()
+	case kwOn:
+		switch next {
+		case kwUpdate:
+			// MySQL: ON UPDATE CURRENT_TIMESTAMP[(n)]
+			p.pos += 2
+			p.next()
+			if p.cur().Kind == LParen {
+				p.skipParens()
+			}
+		case kwDelete:
+			p.pos += 2
+			act := p.refAction()
+			if col.References != nil {
+				col.References.OnDelete = act
+			}
+		default:
+			return false
 		}
-	case p.accept("deferrable"), p.acceptSeq("not", "deferrable"),
-		p.acceptSeq("initially", "deferred"), p.acceptSeq("initially", "immediate"),
-		p.accept("invisible"), p.accept("visible"), p.accept("storage"),
-		p.accept("stored"), p.accept("virtual"):
+	case kwInitially:
+		if next != kwDeferred && next != kwImmediate {
+			return false
+		}
+		p.pos += 2
+	case kwDeferrable, kwInvisible, kwVisible, kwStorage, kwStored, kwVirtual:
+		p.pos++
 	default:
 		return false
 	}
@@ -760,11 +770,11 @@ func (p *parser) parseColumnConstraint(col *ColumnDef) bool {
 }
 
 func (p *parser) constraintKeyword(t Token) bool {
-	if t.Kind != Ident {
-		return false
+	switch t.kw {
+	case kwNot, kwNull, kwDefault, kwPrimary, kwUnique, kwCheck, kwReferences, kwGenerated:
+		return true
 	}
-	return t.Match("not") || t.Match("null") || t.Match("default") || t.Match("primary") ||
-		t.Match("unique") || t.Match("check") || t.Match("references") || t.Match("generated")
+	return false
 }
 
 // parseDefaultExpr consumes a default value expression: a literal, signed
@@ -808,10 +818,10 @@ func (p *parser) parseDefaultExpr() string {
 
 func (p *parser) parseAlterTable() Statement {
 	at := &AlterTable{}
-	if p.acceptSeq("if", "exists") {
+	if p.acceptSeq(kwIf, kwExists) {
 		at.IfExists = true
 	}
-	p.accept("only") // Postgres: ALTER TABLE ONLY t
+	p.accept(kwOnly) // Postgres: ALTER TABLE ONLY t
 	at.Name = p.ident()
 	for {
 		act := p.parseAlteration()
@@ -832,36 +842,36 @@ func (p *parser) parseAlterTable() Statement {
 
 func (p *parser) parseAlteration() Alteration {
 	switch {
-	case p.accept("add"):
+	case p.accept(kwAdd):
 		return p.parseAlterAdd()
-	case p.accept("drop"):
+	case p.accept(kwDrop):
 		return p.parseAlterDrop()
-	case p.accept("modify"):
-		p.accept("column")
+	case p.accept(kwModify):
+		p.accept(kwColumn)
 		col := p.parseColumnDef()
 		p.skipColumnPosition()
 		return Alteration{Action: ModifyColumn, Column: col}
-	case p.accept("change"):
-		p.accept("column")
+	case p.accept(kwChange):
+		p.accept(kwColumn)
 		old := p.ident()
 		col := p.parseColumnDef()
 		p.skipColumnPosition()
 		return Alteration{Action: RenameColumn, OldName: old, Column: col}
-	case p.accept("alter"):
+	case p.accept(kwAlter):
 		return p.parseAlterColumn()
-	case p.accept("rename"):
+	case p.accept(kwRename):
 		switch {
-		case p.accept("to"), p.accept("as"):
+		case p.accept(kwTo), p.accept(kwAs):
 			return Alteration{Action: RenameTable, NewTableName: p.ident()}
-		case p.accept("column"):
+		case p.accept(kwColumn):
 			old := p.ident()
-			p.expect("to")
+			p.expect(kwTo)
 			return Alteration{Action: RenameColumn, OldName: old, Column: ColumnDef{Name: p.ident()}}
 		default:
 			// MySQL: RENAME t / RENAME INDEX a TO b
-			if p.accept("index") || p.accept("key") {
+			if p.accept(kwIndex) || p.accept(kwKey) {
 				p.ident()
-				p.expect("to")
+				p.expect(kwTo)
 				p.ident()
 				return Alteration{Action: OtherAlteration}
 			}
@@ -875,27 +885,27 @@ func (p *parser) parseAlteration() Alteration {
 }
 
 func (p *parser) skipColumnPosition() {
-	if p.accept("first") {
+	if p.accept(kwFirst) {
 		return
 	}
-	if p.accept("after") {
+	if p.accept(kwAfter) {
 		p.ident()
 	}
 }
 
 func (p *parser) parseAlterAdd() Alteration {
 	switch {
-	case p.cur().Match("constraint") || p.cur().Match("foreign") ||
-		(p.cur().Match("primary") && p.peek().Match("key")) ||
-		p.cur().Match("check") ||
-		(p.cur().Match("unique") && (p.peek().Kind == LParen || p.peek().Match("key") || p.peek().Match("index"))) ||
-		((p.cur().Match("index") || p.cur().Match("key") || p.cur().Match("fulltext") || p.cur().Match("spatial")) &&
+	case p.cur().kw == kwConstraint || p.cur().kw == kwForeign ||
+		(p.cur().kw == kwPrimary && p.peek().kw == kwKey) ||
+		p.cur().kw == kwCheck ||
+		(p.cur().kw == kwUnique && (p.peek().Kind == LParen || p.peek().kw == kwKey || p.peek().kw == kwIndex)) ||
+		((p.cur().kw == kwIndex || p.cur().kw == kwKey || p.cur().kw == kwFulltext || p.cur().kw == kwSpatial) &&
 			(p.peek().IsIdent() || p.peek().Kind == LParen)):
 		c := p.parseTableConstraint()
 		return Alteration{Action: AddTableConstraint, Constraint: &c}
 	default:
-		p.accept("column")
-		p.acceptSeq("if", "not", "exists")
+		p.accept(kwColumn)
+		p.acceptSeq(kwIf, kwNot, kwExists)
 		if p.cur().Kind == LParen {
 			// MySQL: ADD (col1 def, col2 def) — parse first, the rest are
 			// returned as extra actions by the caller via comma handling;
@@ -926,40 +936,40 @@ func (p *parser) parseAlterAddGroup() Alteration {
 
 func (p *parser) parseAlterDrop() Alteration {
 	switch {
-	case p.acceptSeq("primary", "key"):
+	case p.acceptSeq(kwPrimary, kwKey):
 		return Alteration{Action: DropConstraint, ConstraintKind: PrimaryKeyConstraint}
-	case p.acceptSeq("foreign", "key"):
+	case p.acceptSeq(kwForeign, kwKey):
 		return Alteration{Action: DropConstraint, ConstraintKind: ForeignKeyConstraint, ConstraintName: p.ident()}
-	case p.accept("constraint"):
-		p.acceptSeq("if", "exists")
+	case p.accept(kwConstraint):
+		p.acceptSeq(kwIf, kwExists)
 		return Alteration{Action: DropConstraint, ConstraintKind: ForeignKeyConstraint, ConstraintName: p.ident()}
-	case p.accept("index"), p.accept("key"):
+	case p.accept(kwIndex), p.accept(kwKey):
 		name := p.ident()
 		return Alteration{Action: DropConstraint, ConstraintKind: IndexConstraint, ConstraintName: name}
 	default:
-		p.accept("column")
-		p.acceptSeq("if", "exists")
+		p.accept(kwColumn)
+		p.acceptSeq(kwIf, kwExists)
 		name := p.ident()
-		p.accept("cascade")
-		p.accept("restrict")
+		p.accept(kwCascade)
+		p.accept(kwRestrict)
 		return Alteration{Action: DropColumn, Column: ColumnDef{Name: name}}
 	}
 }
 
 func (p *parser) parseAlterColumn() Alteration {
-	p.accept("column")
+	p.accept(kwColumn)
 	name := p.ident()
 	switch {
-	case p.acceptSeq("set", "default"):
+	case p.acceptSeq(kwSet, kwDefault):
 		expr := p.parseDefaultExpr()
 		return Alteration{Action: SetDefault, Column: ColumnDef{Name: name, Default: expr, HasDefault: true}}
-	case p.acceptSeq("drop", "default"):
+	case p.acceptSeq(kwDrop, kwDefault):
 		return Alteration{Action: SetDefault, Column: ColumnDef{Name: name}, Drop: true}
-	case p.acceptSeq("set", "not", "null"):
+	case p.acceptSeq(kwSet, kwNot, kwNull):
 		return Alteration{Action: SetNotNull, Column: ColumnDef{Name: name, NotNull: true}}
-	case p.acceptSeq("drop", "not", "null"):
+	case p.acceptSeq(kwDrop, kwNot, kwNull):
 		return Alteration{Action: SetNotNull, Column: ColumnDef{Name: name}, Drop: true}
-	case p.acceptSeq("set", "data", "type"), p.accept("type"):
+	case p.acceptSeq(kwSet, kwData, kwType), p.accept(kwType):
 		typ := p.parseType()
 		p.skipUsingClause()
 		return Alteration{Action: ModifyColumn, Column: ColumnDef{Name: name, Type: typ}}
@@ -971,7 +981,7 @@ func (p *parser) parseAlterColumn() Alteration {
 }
 
 func (p *parser) skipUsingClause() {
-	if !p.accept("using") {
+	if !p.accept(kwUsing) {
 		return
 	}
 	depth := 0
@@ -1009,9 +1019,9 @@ func (p *parser) skipToActionEnd() {
 
 func (p *parser) parseDrop() Statement {
 	switch {
-	case p.accept("table"):
+	case p.accept(kwTable):
 		dt := &DropTable{}
-		if p.acceptSeq("if", "exists") {
+		if p.acceptSeq(kwIf, kwExists) {
 			dt.IfExists = true
 		}
 		dt.Names = append(dt.Names, p.ident())
@@ -1019,21 +1029,21 @@ func (p *parser) parseDrop() Statement {
 			p.next()
 			dt.Names = append(dt.Names, p.ident())
 		}
-		if p.accept("cascade") {
+		if p.accept(kwCascade) {
 			dt.Cascade = true
 		}
-		p.accept("restrict")
+		p.accept(kwRestrict)
 		return p.finishRaw(dt)
-	case p.accept("index"):
+	case p.accept(kwIndex):
 		di := &DropIndex{}
-		p.accept("concurrently")
-		p.acceptSeq("if", "exists")
+		p.accept(kwConcurrently)
+		p.acceptSeq(kwIf, kwExists)
 		di.Name = p.ident()
-		if p.accept("on") {
+		if p.accept(kwOn) {
 			di.Table = p.ident()
 		}
 		return p.finishRaw(di)
-	case p.accept("view"), p.accept("materialized"):
+	case p.accept(kwView), p.accept(kwMaterialized):
 		return p.rawRest("DROP")
 	default:
 		return p.rawRest("DROP")
@@ -1042,13 +1052,13 @@ func (p *parser) parseDrop() Statement {
 
 func (p *parser) parseCreateIndex(unique bool) Statement {
 	ci := &CreateIndex{Unique: unique}
-	p.accept("concurrently")
-	p.acceptSeq("if", "not", "exists")
-	if p.cur().IsIdent() && !p.cur().Match("on") {
+	p.accept(kwConcurrently)
+	p.acceptSeq(kwIf, kwNot, kwExists)
+	if p.cur().IsIdent() && p.cur().kw != kwOn {
 		ci.Name = p.ident()
 	}
-	p.expect("on")
-	p.accept("only")
+	p.expect(kwOn)
+	p.accept(kwOnly)
 	ci.Table = p.ident()
 	p.skipIndexMethod()
 	if p.cur().Kind == LParen {

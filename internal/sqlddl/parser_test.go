@@ -428,8 +428,8 @@ func TestTokenAndKindStrings(t *testing.T) {
 			t.Errorf("Kind(%d) has empty string", int(k))
 		}
 	}
-	tok := Token{Kind: Ident, Text: "x", Line: 3, Col: 7}
-	if s := tok.String(); !strings.Contains(s, "Ident") || !strings.Contains(s, "3:7") {
+	tok := Token{Kind: Ident, Text: "x", Off: 37}
+	if s := tok.String(); !strings.Contains(s, "Ident") || !strings.Contains(s, "@37") {
 		t.Errorf("token string: %q", s)
 	}
 	if Kind(99).String() == "" {

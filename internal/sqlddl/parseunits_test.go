@@ -113,6 +113,16 @@ var parseUnitsSeeds = []string{
 	// A non-ASCII space is trimmed from the unit text but lexes as part
 	// of an identifier, so the text alone must not be the cache key.
 	"\u00a0CREATE TABLE t (a INT);CREATE TABLE t (a INT)",
+	// Bytes whose meaning the lex profile decides; FuzzParseUnits runs
+	// each seed under all four profiles.
+	"# c ; d\nCREATE TABLE a (b INT); x#y; z",
+	"CREATE TABLE `a;b` (`c``;` INT); `x",
+	"CREATE TABLE [a;b] ([c]];] INT); [x; y",
+	"CREATE FUNCTION f() AS $body$ ; $b$ ; $body$; $x$;y$x$ $; $1; a$b$; z",
+	"CREATE TABLE t (a text DEFAULT 'C:\\');\nCREATE TABLE u (b int);\n",
+	"CREATE TABLE t (a text DEFAULT E'\\'');\nCREATE TABLE u (b int DEFAULT e'\\\\'); E; e'x\\",
+	"SELECT 'a\\'; SELECT 'b'; SELECT E'c\\'; d'",
+	"email ; E ; e1'; x' ; Ea'b;'",
 }
 
 // FuzzParseUnits checks ParseUnits against the oracle under every lex

@@ -92,12 +92,12 @@ func renderType(typ string) string {
 
 // plainType reports whether a type string matches the shape the type
 // grammar re-parses unquoted: an identifier word, optional suffix words
-// drawn from typeSuffixWords, at most one parenthesized argument group,
-// and an optional final "array". Anything else (digit-led words, stray
-// words, unbalanced quotes, comment-capable characters) must be rendered
-// quoted or it would not survive a parse round trip — fuzzing found
-// multi-word "types" built from quoted identifiers that rendered bare and
-// then failed to re-parse.
+// (keywords whose isTypeSuffix holds), at most one parenthesized
+// argument group, and an optional final "array". Anything else
+// (digit-led words, stray words, unbalanced quotes, comment-capable
+// characters) must be rendered quoted or it would not survive a parse
+// round trip — fuzzing found multi-word "types" built from quoted
+// identifiers that rendered bare and then failed to re-parse.
 func plainType(typ string) bool {
 	i, n := 0, len(typ)
 	isWordStart := func(c byte) bool {
@@ -164,7 +164,7 @@ func plainType(typ string) bool {
 			switch lw := strings.ToLower(w); {
 			case lw == "array":
 				seenArray = true
-			case typeSuffixWords[lw]:
+			case lookupKeyword(lw).isTypeSuffix():
 			default:
 				return false
 			}
@@ -199,7 +199,7 @@ func renderColumnDef(c ColumnDef) string {
 	if c.Unique {
 		sb.WriteString(" UNIQUE")
 	}
-	if c.AutoIncrement && !isSerial(c.Type) {
+	if c.AutoIncrement && !isSerialType(c.Type) {
 		sb.WriteString(" AUTO_INCREMENT")
 	}
 	if c.References != nil {
@@ -211,8 +211,6 @@ func renderColumnDef(c ColumnDef) string {
 	}
 	return sb.String()
 }
-
-func isSerial(typ string) bool { return serialTypes[typ] }
 
 func renderFKRef(ref *FKRef) string {
 	var sb strings.Builder

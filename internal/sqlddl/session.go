@@ -23,17 +23,15 @@ type cachedStmt struct {
 }
 
 // cachedErr is a memoized parse failure. Its Stmt, Line and Col belong to
-// the first occurrence; a reuse re-stamps the index and re-bases the
-// position, which is kept relative to the statement: line counts the
-// lines below the statement's first byte, and col is the column offset
-// from that byte on its own line (line == 0), else the absolute column.
+// the first occurrence; a reuse re-stamps the index and places the error
+// at the same offset relative to the new occurrence's first byte (rel).
 // An error raised at the statement's end (atEnd) sits at its terminator,
 // the semicolon or the end of the script, which lies outside the cached
 // text, so a reuse places it at the new occurrence's terminator.
 type cachedErr struct {
 	ParseError
-	line, col int
-	atEnd     bool
+	rel   int
+	atEnd bool
 }
 
 // MaxInterned bounds the identifier intern table of a pooled session; a
@@ -49,10 +47,12 @@ const MaxInterned = 1 << 16
 // The statement cache makes re-parsing consecutive versions of the same
 // DDL file cheap: version N+1 of a schema dump shares almost every
 // statement with version N byte-for-byte. A hit costs the token-free
-// boundary scan over the statement's bytes and one map lookup; it builds
-// no token and returns the previously built AST. Cached ASTs are
-// shared — holders must treat statements as immutable (schema application
-// and rendering already do).
+// boundary scan over the statement's bytes (one class-table lookup per
+// byte, see stmtScanner) and one map lookup; it builds no token and
+// returns the previously built AST. A miss is lexed into offset-only,
+// keyword-coded tokens; line and column are counted only for an error.
+// Cached ASTs are shared — holders must treat statements as immutable
+// (schema application and rendering already do).
 //
 // A Session is not safe for concurrent use. Use AcquireSession /
 // ReleaseSession to recycle sessions through a pool; Release clears the
@@ -63,15 +63,15 @@ type Session struct {
 	interned map[string]string
 	stmts    map[string]cachedStmt
 
-	// dialectID, prof and quirks are the active dialect's behavior,
+	// dialectID, tab and quirks are the active dialect's behavior,
 	// flattened out of the Dialect interface so the lexer and parser hot
-	// paths read plain struct fields. Zero values = generic union.
+	// paths read plain struct fields and the profile's class table.
 	dialectID DialectID
-	prof      LexProfile
+	tab       *lexTable
 	quirks    Quirks
 
 	lx    Lexer
-	lines lineCursor // script positions, counted forward as units are visited
+	lines lineCursor // error positions, counted forward as errors are built
 	toks  []Token
 	p     parser
 	lower []byte // scratch for lower-casing identifiers
@@ -82,6 +82,7 @@ func NewSession() *Session {
 	return &Session{
 		interned: make(map[string]string, 256),
 		stmts:    make(map[string]cachedStmt, 64),
+		tab:      genericTable,
 	}
 }
 
@@ -94,7 +95,7 @@ func AcquireSession() *Session { return sessionPool.Get().(*Session) }
 // the pool. Statements previously returned remain valid; they are simply
 // no longer cached.
 func ReleaseSession(s *Session) {
-	s.dialectID, s.prof, s.quirks = DialectGeneric, LexProfile{}, Quirks{}
+	s.dialectID, s.tab, s.quirks = DialectGeneric, genericTable, Quirks{}
 	s.ClearCache()
 	sessionPool.Put(s)
 }
@@ -110,7 +111,7 @@ func (s *Session) SetDialect(d Dialect) {
 		return
 	}
 	s.dialectID = d.ID()
-	s.prof = d.LexProfile()
+	s.tab = tableFor(d.LexProfile())
 	s.quirks = d.Quirks()
 	clear(s.stmts)
 }
@@ -186,17 +187,16 @@ func (s *Session) internLower(t string) string {
 }
 
 // ParseUnits parses src into statement units. A scan that builds no
-// tokens finds each statement's extent (stmtScanner, which steps over
-// strings, quotes and comments with the lexer's own extent functions);
-// each statement's exact token span is then looked up in the session's
-// statement cache, and only a miss is tokenized — from its own offset,
-// its positions script-relative — and parsed. Versions of one DDL file
+// tokens finds each statement's extent (stmtScanner, driven by the
+// profile's byte-class table); each statement's exact token span is then
+// looked up in the session's statement cache, and only a miss is
+// tokenized — from its own offset — and parsed. Versions of one DDL file
 // share most statements, so most bytes are scanned once and never lexed.
 // The returned slice reuses buf's storage when capacity allows.
 func (s *Session) ParseUnits(src string, buf []Unit) []Unit {
 	units := buf[:0]
 	s.lines = startOfScript
-	sc := stmtScanner{src: src, prof: s.prof}
+	sc := stmtScanner{src: src, tab: s.tab}
 	for sc.scan() {
 		if text := strings.TrimSpace(src[sc.from:sc.to]); text != "" {
 			units = append(units, s.parseUnit(src, text, &sc, len(units)))
@@ -219,9 +219,8 @@ func (s *Session) parseUnit(src, text string, sc *stmtScanner, idx int) Unit {
 		}
 		return u
 	}
-	line, col := s.lines.at(src, sc.from)
 	lx := &s.lx
-	lx.src, lx.pos, lx.lines, lx.prof = src[:sc.term], sc.from, s.lines, s.prof
+	lx.src, lx.pos, lx.tab = src[:sc.term], sc.from, s.tab
 	toks := s.toks[:0]
 	for {
 		t := lx.Next()
@@ -230,16 +229,12 @@ func (s *Session) parseUnit(src, text string, sc *stmtScanner, idx int) Unit {
 			break
 		}
 	}
-	s.toks, s.lines = toks, lx.lines
-	stmt, err := s.parseTokens(toks, idx, text)
+	s.toks = toks
+	stmt, err, off := s.parseTokens(toks, idx, text)
 	var ce *cachedErr
 	if err != nil {
-		eof := toks[len(toks)-1]
-		ce = &cachedErr{ParseError: *err, atEnd: err.Line == eof.Line && err.Col == eof.Col}
-		ce.line, ce.col = err.Line-line, err.Col
-		if ce.line == 0 {
-			ce.col -= col
-		}
+		err.Line, err.Col = s.lines.at(src, off)
+		ce = &cachedErr{ParseError: *err, rel: off - sc.from, atEnd: off == sc.term}
 	}
 	s.stmts[key] = cachedStmt{stmt: stmt, err: ce}
 	return Unit{Text: text, Stmt: stmt, Err: err}
@@ -250,23 +245,20 @@ func (s *Session) parseUnit(src, text string, sc *stmtScanner, idx int) Unit {
 func (s *Session) rebase(ce *cachedErr, src string, sc *stmtScanner, idx int) *ParseError {
 	e := ce.ParseError
 	e.Stmt = idx
+	off := sc.from + ce.rel
 	if ce.atEnd {
-		e.Line, e.Col = s.lines.at(src, sc.term)
-		return &e
+		off = sc.term
 	}
-	line, col := s.lines.at(src, sc.from)
-	e.Line, e.Col = line+ce.line, ce.col
-	if ce.line == 0 {
-		e.Col += col
-	}
+	e.Line, e.Col = s.lines.at(src, off)
 	return &e
 }
 
 // parseTokens parses one statement from its token window (terminated by
-// an EOF token). It mirrors the historical per-statement entry point.
-func (s *Session) parseTokens(toks []Token, idx int, text string) (stmt Statement, perr *ParseError) {
+// an EOF token). A failure comes back with its Line and Col unset and the
+// offset of the offending token, for the caller to place.
+func (s *Session) parseTokens(toks []Token, idx int, text string) (stmt Statement, perr *ParseError, off int) {
 	if len(toks) == 1 { // just EOF: comments or whitespace only
-		return nil, nil
+		return nil, nil, 0
 	}
 	p := &s.p
 	p.reset(s, toks, idx, text)
@@ -276,10 +268,10 @@ func (s *Session) parseTokens(toks []Token, idx int, text string) (stmt Statemen
 			if !ok {
 				panic(r)
 			}
-			stmt, perr = nil, e
+			stmt, perr, off = nil, e, p.errOff
 		}
 	}()
-	return p.parse(), nil
+	return p.parse(), nil, 0
 }
 
 // ParseScript parses a whole DDL script through the session, collecting
