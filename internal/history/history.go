@@ -72,9 +72,12 @@ func (h *History) TotalActivity() int {
 	return n
 }
 
-// FromRepo builds the history of the repo's main DDL file. It fails only
-// on structural problems (invalid repo, no DDL file); content problems are
-// tolerated and recorded per version.
+// FromRepo builds the history of the repo's main DDL file under the
+// generic dialect: the sequential composition of the two pipeline
+// stages, parsing every snapshot (ParseVersionsIn) and assembling the
+// history (Assemble). It fails only on structural problems (invalid
+// repo, no DDL file); content problems are tolerated and recorded per
+// version.
 func FromRepo(r *vcs.Repo) (*History, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
@@ -83,33 +86,13 @@ func FromRepo(r *vcs.Repo) (*History, error) {
 	if path == "" {
 		return nil, fmt.Errorf("history: repo %q has no DDL file", r.Name)
 	}
-	return FromRepoFile(r, path)
-}
-
-// FromRepoFile builds the history of one specific DDL file of the repo.
-// It is the sequential composition of the two pipeline stages: parsing
-// every snapshot (ParseVersions) and assembling the history (Assemble).
-func FromRepoFile(r *vcs.Repo, path string) (*History, error) {
-	parsed, err := ParseVersions(r, path)
+	rc := schema.AcquireReconstructor()
+	defer schema.ReleaseReconstructor(rc)
+	parsed, err := ParseVersionsIn(rc, r, path, sqlddl.Generic)
 	if err != nil {
 		return nil, err
 	}
 	return Assemble(r, path, parsed), nil
-}
-
-// FromRepoFileDialect is FromRepoFile parsing under an explicit dialect;
-// d == nil auto-detects from the file's first surviving snapshot. The
-// dialect actually used is recorded in History.Dialect.
-func FromRepoFileDialect(r *vcs.Repo, path string, d sqlddl.Dialect) (*History, error) {
-	rc := schema.AcquireReconstructor()
-	defer schema.ReleaseReconstructor(rc)
-	parsed, err := ParseVersionsIn(rc, r, path, d)
-	if err != nil {
-		return nil, err
-	}
-	h := Assemble(r, path, parsed)
-	h.Dialect = rc.DialectID()
-	return h, nil
 }
 
 // ParsedVersion is one parsed snapshot of a DDL file: the reconstructed
@@ -122,32 +105,22 @@ type ParsedVersion struct {
 	Notes  []schema.Note
 }
 
-// ParseVersions parses every snapshot of the given DDL file into a logical
-// schema. This is the CPU-heavy stage of history reconstruction (lexing,
-// parsing, schema building). Snapshots are reconstructed incrementally —
-// each version reuses the parse and schema work of its predecessor where
-// the statement prefix is unchanged — with results identical to a full
-// per-version rebuild (see schema.Reconstructor).
-func ParseVersions(r *vcs.Repo, path string) ([]ParsedVersion, error) {
-	rc := schema.AcquireReconstructor()
-	defer schema.ReleaseReconstructor(rc)
-	return ParseVersionsWith(rc, r, path)
-}
-
-// ParseVersionsWith is ParseVersions running on a caller-provided
-// reconstructor, letting pipeline workers reuse one reconstructor's
-// buffers and intern table across many projects. Per-project caches are
-// reset on entry.
-func ParseVersionsWith(rc *schema.Reconstructor, r *vcs.Repo, path string) ([]ParsedVersion, error) {
-	return ParseVersionsIn(rc, r, path, sqlddl.Generic)
-}
-
-// ParseVersionsIn is ParseVersionsWith under an explicit dialect. A nil
-// dialect means auto-detect: the detector scores the first surviving
-// (non-deleted) snapshot's content, which is stable under suffix
-// extension — appending newer versions can never change the detection
-// input, so incremental re-analysis agrees with a fresh run. The dialect
-// actually used is readable from rc.DialectID() after the call.
+// ParseVersionsIn parses every snapshot of the given DDL file into a
+// logical schema under dialect d, on a caller-provided reconstructor (so
+// pipeline workers reuse one reconstructor's buffers and intern table
+// across many projects; per-project caches are reset on entry). This is
+// the CPU-heavy stage of history reconstruction (lexing, parsing, schema
+// building). Snapshots are reconstructed incrementally — each version
+// reuses the parse and schema work of its predecessor where the statement
+// prefix is unchanged — with results identical to a full per-version
+// rebuild (see schema.Reconstructor).
+//
+// A nil dialect means auto-detect: the detector scores the first
+// surviving (non-deleted) snapshot's content, which is stable under
+// suffix extension — appending newer versions can never change the
+// detection input, so incremental re-analysis agrees with a fresh run.
+// The dialect actually used is readable from rc.DialectID() after the
+// call.
 func ParseVersionsIn(rc *schema.Reconstructor, r *vcs.Repo, path string, d sqlddl.Dialect) ([]ParsedVersion, error) {
 	if err := r.Validate(); err != nil {
 		return nil, err
@@ -192,7 +165,7 @@ const AnomalyStmt = -1
 // Assemble builds the history from the parsed snapshots: the
 // attribute-level delta between consecutive versions, the monthly
 // heartbeats, and the expansion/maintenance split. The parsed slice must
-// come from ParseVersions on the same repo and path.
+// come from ParseVersionsIn on the same repo and path.
 //
 // A version timestamped outside the project's [Start, End] span — a
 // misdated commit, clock skew, or a corrupt upstream record — is a data

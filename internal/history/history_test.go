@@ -159,7 +159,7 @@ func TestErrors(t *testing.T) {
 		t.Error("invalid repo should fail")
 	}
 	r := demoRepo()
-	if _, err := FromRepoFile(r, "nope.sql"); err == nil {
+	if _, err := ParseVersions(r, "nope.sql"); err == nil {
 		t.Error("missing file should fail")
 	}
 }

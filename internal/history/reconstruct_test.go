@@ -17,6 +17,7 @@ import (
 
 	"schemaevo/internal/history"
 	"schemaevo/internal/schema"
+	"schemaevo/internal/sqlddl"
 	"schemaevo/internal/synth"
 	"schemaevo/internal/vcs"
 )
@@ -195,7 +196,7 @@ func TestReconstructorReuseAcrossProjects(t *testing.T) {
 	}
 	for _, p := range c.Projects {
 		path := p.Repo.MainDDLPath()
-		got, err := history.ParseVersionsWith(rc, p.Repo, path)
+		got, err := history.ParseVersionsIn(rc, p.Repo, path, sqlddl.Generic)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}

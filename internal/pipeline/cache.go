@@ -16,6 +16,7 @@ import (
 	"schemaevo/internal/faultinject"
 	"schemaevo/internal/history"
 	"schemaevo/internal/metrics"
+	"schemaevo/internal/sqlddl/dialect"
 	"schemaevo/internal/telemetry"
 	"schemaevo/internal/vcs"
 )
@@ -46,13 +47,13 @@ func Fingerprint(r *vcs.Repo) string { return FingerprintDialect(r, "") }
 // dialect changes which grammar parses the hashed DDL content, so it is
 // part of the memoization key: "" and "generic" collapse to the same
 // (untagged) key, every other value — "auto" included — is hashed
-// verbatim. "auto" is a sound tag even though it names a selection rule
-// rather than one grammar: detection is a pure function of the first
-// surviving DDL snapshot, which is hashed, so equal auto-fingerprints
-// resolve to the same dialect.
-func FingerprintDialect(r *vcs.Repo, dialect string) string {
-	if dialect == "generic" {
-		dialect = ""
+// verbatim. "auto" names a selection rule rather than one grammar:
+// detection is a pure function of the first surviving DDL snapshot,
+// which is hashed, and of the detection rules, whose dialect.Revision is
+// hashed too, so equal auto-fingerprints resolve to the same dialect.
+func FingerprintDialect(r *vcs.Repo, sel string) string {
+	if sel == "generic" {
+		sel = ""
 	}
 	h := sha256.New()
 	var buf [8]byte
@@ -67,7 +68,10 @@ func FingerprintDialect(r *vcs.Repo, dialect string) string {
 		h.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
 	}
 	writeInt(cacheFormatVersion)
-	writeStr(dialect)
+	writeStr(sel)
+	if sel == "auto" {
+		writeInt(dialect.Revision)
+	}
 	writeStr(r.Name)
 	writeInt(int64(len(r.Commits)))
 	var paths, deleted []string // reused across commits

@@ -45,6 +45,11 @@ func TestFingerprintPinned(t *testing.T) {
 	}{
 		{"wordpressish", Fingerprint(wp), "2630c2d547b0f4293d088c26cfda5ffb27f3cb5304b94f40c5da079d4409921c"},
 		{"wordpressish/mysql", FingerprintDialect(wp, "mysql"), "bf2d067d5f131f6671eddc8e8abcfc793dbdf755d95c8eb3d3b31f9ad0f9fb17"},
+		// "generic" is the untagged key; "auto" also hashes
+		// dialect.Revision, so a change of detection rules re-keys auto
+		// runs (and only them).
+		{"wordpressish/generic", FingerprintDialect(wp, "generic"), "2630c2d547b0f4293d088c26cfda5ffb27f3cb5304b94f40c5da079d4409921c"},
+		{"wordpressish/auto", FingerprintDialect(wp, "auto"), "01174ee1a004e69b01fb4704ce9086c9eefe27bb7260d8fbc33cf248e9597c8e"},
 		{"synthetic", Fingerprint(synthetic), "37741e953fac5a7d7fb286688aa88667528c6fcbc952954fcb68b3c32fdbeee8"},
 		{"synthetic/mysql", FingerprintDialect(synthetic, "mysql"), "ffb79bd8c8e73a2acc3781c325af6033b756240900afd7f7cdd1d76a7f8a8465"},
 	} {

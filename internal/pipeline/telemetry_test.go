@@ -10,6 +10,8 @@ import (
 	"schemaevo/internal/faultinject"
 	"schemaevo/internal/history"
 	"schemaevo/internal/metrics"
+	"schemaevo/internal/schema"
+	"schemaevo/internal/sqlddl"
 	"schemaevo/internal/synth"
 	"schemaevo/internal/telemetry"
 	"schemaevo/internal/vcs"
@@ -144,7 +146,7 @@ func anomalousEntry(t *testing.T, dir string) *vcs.Repo {
 		{ID: "1", Time: mk(2020, 6, 10), Files: map[string]string{"schema.sql": "CREATE TABLE a (x INT, y INT);"}, SrcLines: 5},
 		{ID: "2", Time: mk(2021, 6, 10), Files: map[string]string{"main.go": "x"}, SrcLines: 5},
 	}}
-	parsed, err := history.ParseVersions(r, "schema.sql")
+	parsed, err := history.ParseVersionsIn(schema.NewReconstructor(), r, "schema.sql", sqlddl.Generic)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,8 +67,8 @@ type Quirks struct {
 	NoTypeless bool
 }
 
-// Dialect is a pluggable SQL dialect: a lexer profile, a set of parser
-// quirks, and a type vocabulary. Adapters live in
+// Dialect is a pluggable SQL dialect: a lexer profile and a set of
+// parser quirks. Adapters live in
 // internal/sqlddl/dialect/{mysql,postgres,sqlite}; the generic union
 // dialect is defined here so the core package is usable standalone.
 //
@@ -81,11 +81,6 @@ type Dialect interface {
 	Name() string
 	LexProfile() LexProfile
 	Quirks() Quirks
-	// KnownType reports whether the lower-cased base type name (first
-	// word, no arguments) belongs to the dialect's native vocabulary.
-	// Unknown types still parse — the parser stays error-tolerant — but
-	// the vocabulary drives dialect detection and conformance scoring.
-	KnownType(name string) bool
 }
 
 // genericDialect is the union grammar: every quoting style, every quirk.
@@ -95,7 +90,6 @@ func (genericDialect) ID() DialectID          { return DialectGeneric }
 func (genericDialect) Name() string           { return "generic" }
 func (genericDialect) LexProfile() LexProfile { return LexProfile{} }
 func (genericDialect) Quirks() Quirks         { return Quirks{} }
-func (genericDialect) KnownType(string) bool  { return true }
 
 // Generic is the default dialect: the historical mixed-dialect union
 // grammar. A nil Dialect everywhere means Generic.

@@ -89,3 +89,12 @@ func TestAllocBudgetDialectParseCold(t *testing.T) {
 		})
 	}
 }
+
+// TestAllocBudgetDetect: detection's three readings allocate nothing.
+func TestAllocBudgetDetect(t *testing.T) {
+	for name, src := range allocScripts {
+		if allocs := testing.AllocsPerRun(100, func() { dialect.DetectID(src) }); allocs > 0 {
+			t.Errorf("%s: detection %.1f allocs/run, want 0", name, allocs)
+		}
+	}
+}

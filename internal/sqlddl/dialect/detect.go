@@ -2,21 +2,30 @@ package dialect
 
 import (
 	core "schemaevo/internal/sqlddl"
+	"schemaevo/internal/sqlddl/dialect/mysql"
+	"schemaevo/internal/sqlddl/dialect/postgres"
+	"schemaevo/internal/sqlddl/dialect/sqlite"
 )
 
-// Detection is a single allocation-free scan of raw DDL text that scores
-// dialect-specific signals: quoting style (backticks, brackets, dollar
-// quotes), comment syntax ('#'), operator fingerprints ('::'), and
-// keyword/type vocabulary (ENGINE=, AUTO_INCREMENT vs AUTOINCREMENT,
-// SERIAL/BYTEA/JSONB, WITHOUT ROWID/PRAGMA). String literals, quoted
-// identifiers and comments are skipped so their contents cannot vote.
+// Detection reads a script once as each candidate dialect would, through
+// Lexer.Scan under the dialect's own LexProfile, and scores only what
+// that reading yields for that dialect: a string, comment or quoted
+// identifier is skipped by exactly the rules the parser will apply if the
+// dialect wins. The evidence is backticks and '#' comments (MySQL),
+// dollar quotes, '::' and array brackets (PostgreSQL), bracket-quoted
+// identifiers (SQLite), and the signal words of the weight table below.
 //
 // Detect is deterministic and total: equal inputs produce equal results,
 // and every input produces a result. The highest score wins; ties break
 // in the documented order MySQL > PostgreSQL > SQLite; an all-zero score
 // (nothing dialect-specific in the file) yields Generic.
 
-// Scores holds the per-dialect evidence accumulated by one detection scan.
+// Revision identifies the detection rules, and is bumped whenever a
+// script can be detected differently. It is part of the cache key of
+// auto-detected pipeline runs.
+const Revision = 2
+
+// Scores holds the evidence each candidate dialect's reading found.
 type Scores struct {
 	MySQL    int
 	Postgres int
@@ -43,6 +52,17 @@ func Detect(src string) core.Dialect { return ByID(DetectID(src)) }
 
 // DetectID is Detect returning just the identifier.
 func DetectID(src string) core.DialectID { return Score(src).winner() }
+
+// Score reads src under each candidate dialect and returns the raw
+// per-dialect scores. It allocates nothing and never fails, whatever
+// bytes it is handed.
+func Score(src string) Scores {
+	return Scores{
+		MySQL:    scoreAs(mysql.Dialect, src),
+		Postgres: scoreAs(postgres.Dialect, src),
+		SQLite:   scoreAs(sqlite.Dialect, src),
+	}
+}
 
 // weight pairs a dialect with the evidence weight of one signal word.
 type weight struct {
@@ -105,134 +125,61 @@ var signalWords = map[string]weight{
 	"glob":            {core.DialectSQLite, 2},
 }
 
-func (s *Scores) add(w weight) {
-	switch w.id {
-	case core.DialectMySQL:
-		s.MySQL += w.w
-	case core.DialectPostgres:
-		s.Postgres += w.w
-	case core.DialectSQLite:
-		s.SQLite += w.w
-	}
-}
-
-func isWordByte(c byte) bool {
-	return c == '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
-}
-
-// Score runs the detection scan and returns the raw per-dialect scores.
-// It allocates nothing and never fails, whatever bytes it is handed.
-func Score(src string) Scores {
-	var sc Scores
-	var wordBuf [24]byte
-	i := 0
-	for i < len(src) {
-		c := src[i]
+// scoreAs returns the evidence for d in src read under d's lex profile.
+func scoreAs(d core.Dialect, src string) int {
+	id := d.ID()
+	lx := core.NewLexerProfile(src, d.LexProfile())
+	score, prevKind, prevEnd := 0, core.EOF, -1
+	for k, start, end := lx.Scan(); k != core.EOF; k, start, end = lx.Scan() {
+		text := src[start:end]
+		// glued: the element touches the identifier before it, as the '['
+		// of PostgreSQL's "integer[]" does; a free-standing bracket is
+		// MSSQL-style quoting, which in the FOSS corpus means SQLite.
+		glued := prevKind == core.Ident && prevEnd == start
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' || c == '\f':
-			i++
-			continue
-		case c == '-' && i+1 < len(src) && src[i+1] == '-':
-			for i < len(src) && src[i] != '\n' {
-				i++
-			}
-		case c == '/' && i+1 < len(src) && src[i+1] == '*':
-			i += 2
-			for i < len(src) && !(src[i] == '*' && i+1 < len(src) && src[i+1] == '/') {
-				i++
-			}
-			i += 2
-		case c == '#':
-			sc.add(weight{core.DialectMySQL, 2})
-			for i < len(src) && src[i] != '\n' {
-				i++
-			}
-		case c == '\'':
-			i++
-			for i < len(src) {
-				if src[i] == '\\' {
-					i += 2
-					continue
-				}
-				if src[i] == '\'' {
-					i++
-					break
-				}
-				i++
-			}
-		case c == '"':
-			i++
-			for i < len(src) && src[i] != '"' {
-				i++
-			}
-			i++
-		case c == '`':
-			sc.add(weight{core.DialectMySQL, 3})
-			i++
-			for i < len(src) && src[i] != '`' {
-				i++
-			}
-			i++
-		case c == '[':
-			// "integer[]" — bracket glued to a word — is a PostgreSQL
-			// array suffix; a free-standing bracket is MSSQL-style
-			// quoting, which in the FOSS corpus means SQLite tolerance.
-			if i > 0 && isWordByte(src[i-1]) {
-				sc.add(weight{core.DialectPostgres, 2})
-			} else {
-				sc.add(weight{core.DialectSQLite, 2})
-			}
-			i++
-			for i < len(src) && src[i] != ']' {
-				i++
-			}
-			i++
-		case c == ':' && i+1 < len(src) && src[i+1] == ':':
-			sc.add(weight{core.DialectPostgres, 3})
-			i += 2
-		case c == '$':
-			// Dollar-quote opener: '$' [word chars]* '$'.
-			j := i + 1
-			for j < len(src) && isWordByte(src[j]) {
-				j++
-			}
-			if j < len(src) && src[j] == '$' {
-				sc.add(weight{core.DialectPostgres, 3})
-				tag := src[i : j+1]
-				i = j + 1
-				for i < len(src) {
-					if src[i] == '$' && len(src)-i >= len(tag) && src[i:i+len(tag)] == tag {
-						i += len(tag)
-						break
-					}
-					i++
-				}
-			} else {
-				i = j
-			}
-		case isWordByte(c):
-			start := i
-			for i < len(src) && isWordByte(src[i]) {
-				i++
-			}
-			word := src[start:i]
-			if len(word) <= len(wordBuf) {
-				n := 0
-				for k := 0; k < len(word); k++ {
-					b := word[k]
-					if 'A' <= b && b <= 'Z' {
-						b += 'a' - 'A'
-					}
-					wordBuf[n] = b
-					n++
-				}
-				if w, ok := signalWords[string(wordBuf[:n])]; ok {
-					sc.add(w)
-				}
-			}
-		default:
-			i++
+		case k == core.Ident:
+			score += wordWeight(id, text)
+		case id == core.DialectMySQL && k == core.QuotedIdent && text[0] == '`':
+			score += 3
+		case id == core.DialectMySQL && k == core.Comment && text[0] == '#':
+			score += 2
+		case id == core.DialectPostgres && (k == core.String && text[0] == '$' || k == core.Op && text == "::"):
+			score += 3
+		case id == core.DialectPostgres && k == core.Op && text == "[" && glued,
+			id == core.DialectSQLite && k == core.QuotedIdent && text[0] == '[' && !glued:
+			score += 2
 		}
+		prevKind, prevEnd = k, end
 	}
-	return sc
+	return score
+}
+
+// wordLengths has bit n of entry [id][c] set when a signal word of
+// dialect id is n bytes long and starts with byte c; it spares nearly
+// every identifier the map lookup.
+var wordLengths = func() (t [core.DialectSQLite + 1][256]uint32) {
+	for word, w := range signalWords {
+		t[w.id][word[0]] |= 1 << len(word)
+	}
+	return t
+}()
+
+// wordWeight is the weight of an identifier, ASCII case-folded, as a
+// signal word of dialect id. It allocates nothing.
+func wordWeight(id core.DialectID, word string) int {
+	if len(word) > 24 || wordLengths[id][word[0]|0x20]&(1<<len(word)) == 0 {
+		return 0
+	}
+	var buf [24]byte
+	for i := 0; i < len(word); i++ {
+		b := word[i]
+		if 'A' <= b && b <= 'Z' {
+			b += 'a' - 'A'
+		}
+		buf[i] = b
+	}
+	if w, ok := signalWords[string(buf[:len(word)])]; ok && w.id == id {
+		return w.w
+	}
+	return 0
 }

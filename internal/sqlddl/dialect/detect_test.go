@@ -148,3 +148,70 @@ func TestDetectionTieBreak(t *testing.T) {
 		}
 	}
 }
+
+// TestDetectTrailingBackslash: in PostgreSQL and SQLite a backslash in a
+// '...' literal is an ordinary character, so a literal may end in one.
+// The PostgreSQL reading must close the literal there and go on to count
+// the serial/jsonb/timestamptz/bytea evidence behind it.
+func TestDetectTrailingBackslash(t *testing.T) {
+	src := "CREATE TABLE t (a text DEFAULT 'C:\\');\nCREATE TABLE u (id serial, b jsonb, c timestamptz);\nCREATE TABLE v (x bytea);"
+	if got := dialect.DetectID(src); got != core.DialectPostgres {
+		t.Errorf("detected %v, want postgres (scores %+v)", got, dialect.Score(src))
+	}
+}
+
+// foreign is other dialects' syntax with no delimiter of its own: every
+// word votes when read as a token.
+const foreign = "engine=innodb auto_increment unsigned serial jsonb ::int4 nextval autoincrement pragma rowid glob"
+
+// TestForeignSyntaxNeverVotes: another dialect's syntax placed inside a
+// string, a comment or a quoted identifier never votes. Each case fills
+// one construct of a host script once with "x" and once with foreign
+// syntax, and the scores must not move: all three for constructs every
+// dialect reads alike, the host's own for constructs only the host has.
+// (The other dialects read the contents of those as tokens, and those
+// tokens vote for them as the other dialects' parsers would read them.)
+func TestForeignSyntaxNeverVotes(t *testing.T) {
+	delims := foreign + " `b` #h $$d$$ x[1] [s]"
+	shared := []struct{ name, hole, fill string }{
+		{"string", "a text DEFAULT '%s'", delims},
+		{"quoted identifier", `"a""b %s" text`, delims},
+		{"line comment", "a int -- %s\n", delims},
+		{"block comment", "/* %s */ a int", delims},
+	}
+	hosts := []struct {
+		id     core.DialectID
+		script string
+		own    []struct{ name, hole, fill string }
+	}{
+		{core.DialectMySQL, "CREATE TABLE `t` (id int unsigned AUTO_INCREMENT, %s) ENGINE=InnoDB;", []struct{ name, hole, fill string }{
+			{"backtick identifier", "`%s` text", foreign + ` #h $$d$$ x[1] [s] "q"`},
+			{"hash comment", "a int # %s\n", delims},
+			{"escaped string", `a text DEFAULT 'it\'s %s'`, delims},
+		}},
+		{core.DialectPostgres, "CREATE TABLE t (id serial PRIMARY KEY, %s);", []struct{ name, hole, fill string }{
+			{"dollar string", "a text DEFAULT $fn$%s$fn$", delims},
+			{"escape string", `a text DEFAULT E'it\'s %s'`, delims},
+			{"backslash-ended string", `a text DEFAULT 'C:\', b text DEFAULT '%s'`, delims},
+		}},
+		{core.DialectSQLite, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, %s);", []struct{ name, hole, fill string }{
+			{"bracket identifier", "[%s] text", foreign + " `b` #h $$d$$ x[1 \"q\""},
+			{"backslash-ended string", `a text DEFAULT 'C:\', b text DEFAULT '%s'`, delims},
+		}},
+	}
+	for _, h := range hosts {
+		fill := func(hole, s string) string { return fmt.Sprintf(h.script, fmt.Sprintf(hole, s)) }
+		for _, c := range shared {
+			plain, with := fill(c.hole, "x"), fill(c.hole, c.fill)
+			if sp, sw := dialect.Score(plain), dialect.Score(with); sp != sw {
+				t.Errorf("%v, %s: scores %+v became %+v\n%s", h.id, c.name, sp, sw, with)
+			}
+		}
+		for _, c := range h.own {
+			plain, with := fill(c.hole, "x"), fill(c.hole, c.fill)
+			if sp, sw := ownScore(dialect.ByID(h.id), dialect.Score(plain)), ownScore(dialect.ByID(h.id), dialect.Score(with)); sp != sw {
+				t.Errorf("%v, %s: own score %d became %d\n%s", h.id, c.name, sp, sw, with)
+			}
+		}
+	}
+}

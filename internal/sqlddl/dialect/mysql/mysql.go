@@ -1,6 +1,6 @@
 // Package mysql is the MySQL/MariaDB dialect adapter: backtick quoting,
-// '#' line comments, no PostgreSQL casts or dollar quoting, and the
-// MySQL type vocabulary.
+// '#' line comments, backslash escapes in strings, and no PostgreSQL
+// casts, dollar quoting or SERIAL identity.
 package mysql
 
 import core "schemaevo/internal/sqlddl"
@@ -23,21 +23,4 @@ func (dialectImpl) Quirks() core.Quirks {
 	// No '::' casts, no SERIAL-implies-identity, and every column carries
 	// a type.
 	return core.Quirks{NoDoubleColonCast: true, NoSerialAuto: true, NoTypeless: true}
-}
-
-func (dialectImpl) KnownType(name string) bool { return types[name] }
-
-var types = map[string]bool{
-	"bit": true, "tinyint": true, "smallint": true, "mediumint": true,
-	"int": true, "integer": true, "bigint": true, "decimal": true,
-	"numeric": true, "float": true, "double": true, "real": true,
-	"bool": true, "boolean": true, "serial": true,
-	"date": true, "datetime": true, "timestamp": true, "time": true, "year": true,
-	"char": true, "varchar": true, "binary": true, "varbinary": true,
-	"tinyblob": true, "blob": true, "mediumblob": true, "longblob": true,
-	"tinytext": true, "text": true, "mediumtext": true, "longtext": true,
-	"enum": true, "set": true, "json": true,
-	"geometry": true, "point": true, "linestring": true, "polygon": true,
-	"multipoint": true, "multilinestring": true, "multipolygon": true,
-	"geometrycollection": true,
 }

@@ -1,7 +1,6 @@
 // Package sqlite is the SQLite dialect adapter: loose typing (typeless
 // columns), backtick and [bracket] quoting both tolerated, no '#'
-// comments or backslash escapes, no PostgreSQL casts, and SQLite's
-// affinity-style vocabulary.
+// comments or backslash escapes, and no PostgreSQL casts.
 package sqlite
 
 import core "schemaevo/internal/sqlddl"
@@ -24,18 +23,4 @@ func (dialectImpl) LexProfile() core.LexProfile {
 func (dialectImpl) Quirks() core.Quirks {
 	// Typeless columns are native; SERIAL is just a type name here.
 	return core.Quirks{NoDoubleColonCast: true, NoSerialAuto: true}
-}
-
-func (dialectImpl) KnownType(name string) bool { return types[name] }
-
-// SQLite accepts any type name (affinity rules), but the vocabulary below
-// is what real SQLite schemas actually use; detection scores against it.
-var types = map[string]bool{
-	"int": true, "integer": true, "tinyint": true, "smallint": true,
-	"mediumint": true, "bigint": true, "unsigned": true,
-	"character": true, "varchar": true, "varying": true, "nchar": true,
-	"native": true, "nvarchar": true, "text": true, "clob": true,
-	"blob": true, "real": true, "double": true, "float": true,
-	"numeric": true, "decimal": true, "bool": true, "boolean": true,
-	"date": true, "datetime": true, "timestamp": true,
 }

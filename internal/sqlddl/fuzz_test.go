@@ -1,17 +1,25 @@
-package sqlddl
+package sqlddl_test
 
 import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"schemaevo/internal/sqlddl"
+	"schemaevo/internal/sqlddl/dialect"
 )
 
-// FuzzParse is a native fuzz target for the whole parse path. Run with
+// FuzzParse is a native fuzz target for the whole parse path under every
+// lex profile: the generic union and the three adapters. Run with
 //
-//	go test -fuzz=FuzzParse ./internal/sqlddl
+//	go test -run '^FuzzParse$' -fuzz '^FuzzParse$' ./internal/sqlddl
 //
-// Without -fuzz the seed corpus below (hand-picked statements plus every
-// DDL file under testdata/) runs as a regular test.
+// Whatever bytes arrive, each dialect returns a script (degrading via
+// Errors, never panicking), and every structured statement it produces,
+// rendered for that dialect's profile, re-parses under it to exactly one
+// statement without error. Without -fuzz the seed corpus below
+// (hand-picked statements, every DDL file under testdata/ and the
+// per-dialect conformance corpora) runs as a regular test.
 func FuzzParse(f *testing.F) {
 	// Seed with the real-world-shaped schema dumps committed under
 	// testdata/ — they exercise multi-statement scripts, dialect quirks
@@ -42,19 +50,34 @@ func FuzzParse(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, src string) {
-		script := Parse(src)
-		if script == nil {
-			t.Fatal("nil script")
+	corpora, err := filepath.Glob(filepath.Join("..", "..", "testdata", "dialects", "*", "*.sql"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range corpora {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
 		}
-		// Rendered output of every parsed statement must itself parse.
-		for _, stmt := range script.Statements {
-			if _, ok := stmt.(*RawStatement); ok {
-				continue
+		f.Add(string(data))
+	}
+	dialects := append([]sqlddl.Dialect{sqlddl.Generic}, dialect.All()...)
+	f.Fuzz(func(t *testing.T, src string) {
+		for _, d := range dialects {
+			script := sqlddl.ParseWith(d, src)
+			if script == nil {
+				t.Fatalf("%s: nil script", d.Name())
 			}
-			rendered := Render(stmt)
-			if _, err := ParseStatement(rendered); err != nil {
-				t.Fatalf("rendered statement does not re-parse: %v\nrendered: %s", err, rendered)
+			for _, stmt := range script.Statements {
+				if _, ok := stmt.(*sqlddl.RawStatement); ok {
+					continue
+				}
+				rendered := sqlddl.Render(stmt, d.LexProfile())
+				re := sqlddl.ParseWith(d, rendered)
+				if len(re.Errors) != 0 || len(re.Statements) != 1 {
+					t.Fatalf("%s: rendered statement does not re-parse to one statement: %d statements, errors %v\nrendered: %s",
+						d.Name(), len(re.Statements), re.Errors, rendered)
+				}
 			}
 		}
 	})

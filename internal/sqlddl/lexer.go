@@ -21,9 +21,12 @@ import (
 // Each byte is classified by one lookup in the profile's lexTable;
 // skipBlank and lexemeAt dispatch on that class, and the statement
 // boundary scan (stmtScanner) reads the same table, so every dialect's
-// quoting and comment rules live in one place. Tokens carry their byte
-// offset only, and an unquoted identifier its keyword code, looked up
-// once here.
+// quoting and comment rules live in one place. Every reader of DDL text
+// goes through them: the parser through Next, and dialect detection
+// through Scan, which reports comments as well as tokens and reads each
+// candidate dialect's text under that dialect's profile. Tokens carry
+// their byte offset only, and an unquoted identifier its keyword code,
+// looked up once here.
 type Lexer struct {
 	src string
 	pos int
@@ -224,24 +227,36 @@ func skipBlank(src string, i int, tab *lexTable) int {
 		switch tab.class[src[i]] {
 		case clsBlank:
 			i++
-		case clsDash:
-			if byteAt(src, i+1) != '-' {
+		case clsDash, clsSlash, clsHash:
+			j := commentEnd(src, i, tab)
+			if j == i {
 				return i
 			}
-			i = lineEnd(src, i)
-		case clsHash:
-			i = lineEnd(src, i)
-		case clsSlash:
-			if byteAt(src, i+1) != '*' {
-				return i
-			}
-			j := strings.Index(src[i+2:], "*/")
-			if j < 0 {
-				return len(src)
-			}
-			i += j + 4
+			i = j
 		default:
 			return i
+		}
+	}
+	return i
+}
+
+// commentEnd returns the end of the comment that opens at i, or i when
+// none does: a line comment ends before its newline, an unterminated
+// block comment at the end of src.
+func commentEnd(src string, i int, tab *lexTable) int {
+	switch tab.class[src[i]] {
+	case clsDash:
+		if byteAt(src, i+1) == '-' {
+			return lineEnd(src, i)
+		}
+	case clsHash:
+		return lineEnd(src, i)
+	case clsSlash:
+		if byteAt(src, i+1) == '*' {
+			if j := strings.Index(src[i+2:], "*/"); j >= 0 {
+				return i + j + 4
+			}
+			return len(src)
 		}
 	}
 	return i
@@ -457,6 +472,39 @@ func (lx *Lexer) Next() Token {
 	return t
 }
 
+// Scan returns the kind and extent of the next token, or of the next
+// comment, which Next skips (kind Comment), without building a token:
+// src[start:end] is the element's source text, delimiters included, and
+// at the end of the input the kind is EOF. It reads the text by the same
+// rules as Next, so a caller outside the lexer (dialect detection) sees
+// exactly the strings, comments and quoted identifiers the parser will.
+func (lx *Lexer) Scan() (k Kind, start, end int) {
+	src, i, tab := lx.src, lx.pos, lx.tab
+	for i < len(src) && tab.class[src[i]] == clsBlank {
+		i++
+	}
+	if i >= len(src) {
+		lx.pos = i
+		return EOF, i, i
+	}
+	switch tab.class[src[i]] {
+	case clsWord: // the commonest element, stepped over in place
+		k, end = Ident, identEnd(src, i+1)
+	case clsDash, clsSlash, clsHash:
+		if end = commentEnd(src, i, tab); end > i {
+			k = Comment
+			break
+		}
+		fallthrough
+	default:
+		var x lexeme
+		lexemeAt(&x, src, i, tab)
+		k, end = x.kind, x.end
+	}
+	lx.pos = end
+	return k, i, end
+}
+
 // unescape returns a copy of a quoted body with each doubled close byte —
 // and, when backslash is set, each backslash escape — resolved, built in
 // the lexer's scratch buffer.
@@ -625,12 +673,6 @@ func SplitStatements(src string) []string {
 		}
 	}
 	return out
-}
-
-// QuoteString renders a value as a SQL single-quoted literal, doubling
-// embedded quotes.
-func QuoteString(v string) string {
-	return "'" + strings.ReplaceAll(v, "'", "''") + "'"
 }
 
 // ParseError describes a failure to parse a single statement. The

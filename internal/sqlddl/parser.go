@@ -546,7 +546,9 @@ func (p *parser) parseType() string {
 
 func (p *parser) expectIdentText() string {
 	t := p.cur()
-	if !t.IsIdent() {
+	// An empty quoted identifier ("", [], an unterminated quote) names
+	// no type; taking it for one would read as a typeless column.
+	if !t.IsIdent() || t.Text == "" {
 		p.fail("expected type name")
 	}
 	p.next()
@@ -599,8 +601,9 @@ func (p *parser) parenRawInnerBuf(buf []byte) []byte {
 	}
 }
 
-// appendQuoteString appends v as a SQL single-quoted literal, doubling
-// embedded quotes — the byte-for-byte equivalent of QuoteString.
+// appendQuoteString appends v as a standard SQL single-quoted literal,
+// doubling embedded quotes: the canonical spelling of every string
+// literal the parser keeps as text (defaults, CHECK and raw groups).
 func appendQuoteString(buf []byte, v string) []byte {
 	buf = append(buf, '\'')
 	for i := 0; i < len(v); i++ {
@@ -781,39 +784,40 @@ func (p *parser) constraintKeyword(t Token) bool {
 // number, NULL/TRUE/FALSE, a function call, a parenthesized expression, or
 // any of those followed by Postgres '::' casts.
 func (p *parser) parseDefaultExpr() string {
-	var sb strings.Builder
+	buf := p.scratch[:0]
 	t := p.cur()
 	switch {
 	case t.Kind == String:
 		p.next()
-		sb.WriteString(QuoteString(t.Text))
+		buf = appendQuoteString(buf, t.Text)
 	case t.Kind == Number:
 		p.next()
-		sb.WriteString(t.Text)
+		buf = append(buf, t.Text...)
 	case t.Kind == Op && (t.Text == "-" || t.Text == "+"):
 		p.next()
-		sb.WriteString(t.Text)
-		sb.WriteString(p.expectKind(Number).Text)
+		buf = append(buf, t.Text...)
+		buf = append(buf, p.expectKind(Number).Text...)
 	case t.Kind == LParen:
-		sb.WriteString(p.parenRaw())
+		buf = append(p.parenRawInnerBuf(append(buf, '(')), ')')
 	case t.IsIdent():
 		p.next()
-		sb.WriteString(t.Text)
+		buf = append(buf, t.Text...)
 		if p.cur().Kind == LParen {
-			sb.WriteString(p.parenRaw())
+			buf = append(p.parenRawInnerBuf(append(buf, '(')), ')')
 		}
 	default:
 		p.fail("expected default expression")
 	}
 	for !p.q.NoDoubleColonCast && p.cur().Kind == Op && p.cur().Text == "::" {
 		p.next()
-		sb.WriteString("::")
 		// The default expression is stored (and re-rendered) as text, so
 		// an exotic cast target must be quoted here or the rendered
 		// statement would not re-parse (e.g. a cast to a bare "[]").
-		sb.WriteString(renderType(p.parseType()))
+		buf = append(buf, "::"...)
+		buf = append(buf, renderType(p.parseType())...)
 	}
-	return sb.String()
+	p.scratch = buf[:0]
+	return string(buf)
 }
 
 func (p *parser) parseAlterTable() Statement {

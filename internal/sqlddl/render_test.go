@@ -14,7 +14,7 @@ func roundTrip(t *testing.T, src string) {
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	rendered := Render(first)
+	rendered := Render(first, LexProfile{})
 	second, err := ParseStatement(rendered)
 	if err != nil {
 		t.Fatalf("re-parse of %q failed: %v\nrendered: %s", src, err, rendered)
@@ -79,7 +79,7 @@ func TestRenderRoundTripDropAndIndex(t *testing.T) {
 
 func TestRenderScript(t *testing.T) {
 	script := Parse(`CREATE TABLE a (x INT); DROP TABLE b;`)
-	out := RenderScript(script)
+	out := RenderScript(script, LexProfile{})
 	if strings.Count(out, ";") != 2 {
 		t.Errorf("script render: %q", out)
 	}
@@ -91,7 +91,7 @@ func TestRenderScript(t *testing.T) {
 
 func TestRenderRawStatement(t *testing.T) {
 	raw := &RawStatement{Verb: "INSERT", Text: "INSERT INTO t VALUES (1)"}
-	if Render(raw) != raw.Text {
+	if Render(raw, LexProfile{}) != raw.Text {
 		t.Error("raw statements must render verbatim")
 	}
 }
@@ -101,7 +101,7 @@ func TestRenderCommentEscaping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rendered := Render(stmt)
+	rendered := Render(stmt, LexProfile{})
 	if !strings.Contains(rendered, "it''s") {
 		t.Errorf("comment not escaped: %s", rendered)
 	}

@@ -73,7 +73,7 @@ func TestParsedStatementsAreConsistent(t *testing.T) {
 		if len(script.Errors) != 0 {
 			t.Fatalf("valid script failed: %v\n%s", script.Errors, src)
 		}
-		re := Parse(RenderScript(script))
+		re := Parse(RenderScript(script, LexProfile{}))
 		if len(re.Errors) != 0 {
 			t.Fatalf("rendered script failed: %v", re.Errors)
 		}

@@ -31,6 +31,9 @@ const (
 	// Op is any other operator or punctuation character sequence
 	// (=, <, >, <=, >=, <>, !=, +, -, *, /, %, ::, etc.).
 	Op
+	// Comment is a comment, as Lexer.Scan reports it; Next skips
+	// comments and never returns this kind.
+	Comment
 )
 
 func (k Kind) String() string {
@@ -57,6 +60,8 @@ func (k Kind) String() string {
 		return "Dot"
 	case Op:
 		return "Op"
+	case Comment:
+		return "Comment"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }

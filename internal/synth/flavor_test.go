@@ -7,6 +7,7 @@ import (
 
 	"schemaevo/internal/core"
 	"schemaevo/internal/history"
+	"schemaevo/internal/schema"
 	"schemaevo/internal/sqlddl"
 	"schemaevo/internal/sqlddl/dialect"
 )
@@ -96,13 +97,15 @@ func TestFlavoredFilesDetectAsOwnDialect(t *testing.T) {
 					t.Fatalf("%v style %v: version %d detected as %v", tc.flavor, style, i, got)
 				}
 			}
-			h, err := history.FromRepoFileDialect(repo, path, nil)
+			rc := schema.NewReconstructor()
+			parsed, err := history.ParseVersionsIn(rc, repo, path, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if h.Dialect != tc.want {
-				t.Errorf("%v style %v: auto-detected history dialect = %v", tc.flavor, style, h.Dialect)
+			if got := rc.DialectID(); got != tc.want {
+				t.Errorf("%v style %v: auto-detected history dialect = %v", tc.flavor, style, got)
 			}
+			h := history.Assemble(repo, path, parsed)
 			if h.NoteCount() != 0 {
 				t.Errorf("%v style %v: %d parse notes under own adapter", tc.flavor, style, h.NoteCount())
 			}
