@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"schemaevo/internal/quantize"
@@ -282,5 +285,95 @@ func TestDescribe(t *testing.T) {
 	}
 	if DescribeFamily(NoFamily) != "" {
 		t.Error("NoFamily should have no description")
+	}
+}
+
+// TestNearestOnlyClause pins what the nearest-only low-rate clause
+// decides. Over the 150 coarse profiles (top band not before birth, every
+// interval, 0, 2 or 5 active growth months), 33 match no definition; 15
+// of those tie on score and go to the first pattern in AllPatterns order,
+// and for exactly these 12 the clause no definition states picks the
+// pattern that scoring only the paper's clauses would not.
+func TestNearestOnlyClause(t *testing.T) {
+	want := map[string]Pattern{
+		"vp0/late/zero/0": LateRiser, "vp0/late/zero/2": LateRiser,
+		"vp0/late/soon/0": LateRiser, "vp0/late/soon/2": LateRiser,
+		"early/late/zero/0": LateRiser, "early/late/zero/2": LateRiser,
+		"early/late/soon/0": LateRiser, "early/late/soon/2": LateRiser,
+		"middle/middle/fair/0": Sigmoid, "middle/middle/fair/2": Sigmoid,
+		"late/late/vlong/0": LateRiser, "late/late/vlong/2": LateRiser,
+	}
+	unmatched, ties, decided := 0, 0, map[string]Pattern{}
+	for bt := quantize.TimingVP0; bt <= quantize.TimingLate; bt++ {
+		for tp := bt; tp <= quantize.TimingLate; tp++ {
+			for gi := quantize.GrowthZero; gi <= quantize.GrowthVeryLong; gi++ {
+				for _, active := range []int{0, 2, 5} {
+					l := quantize.Labels{BirthTiming: bt, TopBandPoint: tp, IntervalBirthToTop: gi, ActiveGrowthMonths: active}
+					if Classify(l) != Unclassified {
+						continue
+					}
+					unmatched++
+					v := labelValues(l)
+					var paperBest Pattern
+					bestScore, bestPaper, atBest := -1, -1, 0
+					for _, p := range AllPatterns {
+						_, s := definitions[p].score(&v)
+						switch {
+						case s > bestScore:
+							bestScore, atBest = s, 1
+						case s == bestScore:
+							atBest++
+						}
+						paper := 0
+						for _, alt := range definitions[p].alternatives {
+							n := 0
+							for _, c := range alt {
+								if !c.nearestOnly && c.holds(&v) {
+									n++
+								}
+							}
+							paper = max(paper, n)
+						}
+						if paper > bestPaper {
+							paperBest, bestPaper = p, paper
+						}
+					}
+					if atBest > 1 {
+						ties++
+					}
+					if got := ClassifyNearest(l); got != paperBest {
+						decided[fmt.Sprintf("%v/%v/%v/%d", bt, tp, gi, active)] = got
+					}
+				}
+			}
+		}
+	}
+	if unmatched != 33 || ties != 15 {
+		t.Errorf("%d coarse profiles match no definition, %d of them tie; want 33 and 15", unmatched, ties)
+	}
+	if !reflect.DeepEqual(decided, want) {
+		t.Errorf("the nearest-only clause decides %v, want %v", decided, want)
+	}
+}
+
+// TestDefinitionTable checks the table's shape: one row per pattern, each
+// named, in a family and described, and every clause worded, the
+// nearest-only ones saying that the paper does not state them.
+func TestDefinitionTable(t *testing.T) {
+	for _, p := range AllPatterns {
+		d := definitions[p]
+		if d.name == "" || d.family == NoFamily || d.prose == "" || len(d.alternatives) == 0 {
+			t.Errorf("%v: incomplete row %+v", p, d)
+		}
+		for _, alt := range d.alternatives {
+			for _, c := range alt {
+				if c.text == "" || c.allow == 0 || c.nearestOnly != strings.Contains(c.text, "not in the paper") {
+					t.Errorf("%v: clause %+v", p, c)
+				}
+			}
+		}
+	}
+	if len(definitions) != len(AllPatterns)+1 || len(definitions[Unclassified].alternatives) != 0 {
+		t.Errorf("the table has %d rows; want Unclassified, without clauses, and the eight patterns", len(definitions))
 	}
 }

@@ -132,11 +132,7 @@ func buildProjectWire(id, project string, h *history.History, m metrics.Measures
 	pattern, exact := core.Unclassified, false
 	if m.HasSchema {
 		labels = quantize.Compute(m, scheme)
-		pattern = core.Classify(labels)
-		exact = pattern != core.Unclassified
-		if !exact {
-			pattern = core.ClassifyNearest(labels)
-		}
+		pattern, exact = core.Assign(labels)
 	}
 	sum := h.Summarize()
 	return projectWire{
@@ -189,19 +185,14 @@ func buildProjectWire(id, project string, h *history.History, m metrics.Measures
 	}
 }
 
-// assignedPattern derives the pattern a result counts under, mirroring
-// buildProjectWire's classification exactly (definitional match first,
-// else the nearest pattern) so a project's aggregate bucket always
-// matches its wire body.
+// assignedPattern derives the pattern a result counts under through the
+// same core.Assign call as buildProjectWire, so a project's aggregate
+// bucket always matches its wire body.
 func assignedPattern(m metrics.Measures, scheme quantize.Scheme) core.Pattern {
 	if !m.HasSchema {
 		return core.Unclassified
 	}
-	labels := quantize.Compute(m, scheme)
-	pat := core.Classify(labels)
-	if pat == core.Unclassified {
-		pat = core.ClassifyNearest(labels)
-	}
+	pat, _ := core.Assign(quantize.Compute(m, scheme))
 	return pat
 }
 

@@ -51,7 +51,7 @@ func (r renderer) quote(v string) string {
 	if !r.prof.NoBackslashEscape {
 		v = strings.ReplaceAll(v, `\`, `\\`)
 	}
-	return string(appendQuoteString(nil, v))
+	return string(appendQuoted(nil, v, '\''))
 }
 
 // expr respells the string literals of an expression the parser kept as

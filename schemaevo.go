@@ -166,11 +166,7 @@ func AnalyzeRepoWithOptions(r *Repo, opts PipelineOptions) (*Analysis, PipelineS
 	if !res.Measures.HasSchema {
 		return nil, stats, fmt.Errorf("schemaevo: %s: the schema file never defines a logical schema", r.Name)
 	}
-	p := core.Classify(res.Labels)
-	exact := p != core.Unclassified
-	if !exact {
-		p = core.ClassifyNearest(res.Labels)
-	}
+	p, exact := core.Assign(res.Labels)
 	return &Analysis{
 		Project:  r.Name,
 		Pattern:  p,
@@ -262,5 +258,9 @@ func AnalyzeCorpusPipeline(ctx context.Context, c *Corpus, opts PipelineOptions)
 func ClassifyLabels(l Labels) Pattern { return core.Classify(l) }
 
 // ClassifyNearest always returns a pattern: the exact match when one
-// exists, otherwise the nearest definition.
+// exists, otherwise the pattern with the most defining clauses satisfied
+// (best alternative for Def. 4.5 and 4.6; the four Be Quick or Be Dead
+// patterns also score "at most 3 active growth months", which no
+// definition states); a tie goes to the pattern first in AllPatterns
+// order.
 func ClassifyNearest(l Labels) Pattern { return core.ClassifyNearest(l) }
