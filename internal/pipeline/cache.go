@@ -28,8 +28,17 @@ import (
 // version 4 replaced the decode-loop layout with the flat, zero-copy
 // format in flatcodec.go (string arena + deduplicated table pool);
 // version 5 widened the flat header to 32 bytes with the history's SQL
-// dialect tag and made the dialect part of the fingerprint.
-const cacheFormatVersion = 5
+// dialect tag and made the dialect part of the fingerprint; version 6
+// keeps quoted identifiers quoted in default, CHECK and type-argument
+// text, so a version-5 entry no longer matches a cold parse. An entry of
+// another version is stale: load drops it as a plain miss.
+const cacheFormatVersion = 6
+
+// fingerprintRevision is hashed into every fingerprint and is bumped only
+// when the hashed bytes change meaning. It is kept apart from
+// cacheFormatVersion because a fingerprint is also a served project's ID:
+// a format bump recomputes stale entries without re-keying every project.
+const fingerprintRevision = 5
 
 // Fingerprint returns a content hash of everything the analysis pipeline
 // reads from a repository: the repo name, every commit's timestamp and
@@ -67,7 +76,7 @@ func FingerprintDialect(r *vcs.Repo, sel string) string {
 		// bytes can be hashed without the copy []byte(s) would make.
 		h.Write(unsafe.Slice(unsafe.StringData(s), len(s)))
 	}
-	writeInt(cacheFormatVersion)
+	writeInt(fingerprintRevision)
 	writeStr(sel)
 	if sel == "auto" {
 		writeInt(dialect.Revision)
@@ -195,6 +204,8 @@ func unseal(data []byte) ([]byte, error) {
 // Unreadable files are retried, then count as misses plus cache errors;
 // entries failing the checksum or decode are quarantined for inspection
 // and count as misses — never as failures: the pipeline just recomputes.
+// A sound entry of another format version is stale, not corrupt: it is
+// removed and counts as a plain miss.
 // A hit's strings are views into the buffer read here (see flatcodec.go).
 func (c *diskCache) load(fingerprint string) *cacheEntry {
 	if c == nil {
@@ -225,6 +236,12 @@ func (c *diskCache) load(fingerprint string) *cacheEntry {
 		c.fault.Mangle(data, fingerprint)
 	}
 	payload, err := unseal(data)
+	if err == nil && len(payload) >= 8 && string(payload[0:4]) == string(flatMagic[:]) &&
+		binary.LittleEndian.Uint32(payload[4:8]) != cacheFormatVersion {
+		os.Remove(c.path(fingerprint))
+		c.cnt.Add(telemetry.CacheMisses, 1)
+		return nil
+	}
 	var e *cacheEntry
 	if err == nil {
 		e, err = decodeEntry(payload)

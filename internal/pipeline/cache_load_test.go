@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"runtime"
 	"testing"
@@ -84,6 +85,23 @@ func TestLoadEmptyFileQuarantined(t *testing.T) {
 // ordinary miss: no cache error, no retry, nothing quarantined.
 func TestLoadMissingFileIsPlainMiss(t *testing.T) {
 	hit, got := loadCounts(t, "nope", func(string) {})
+	want := telemetry.CacheReport{Misses: 1}
+	if hit || got != want {
+		t.Fatalf("hit %v, counters %+v; want a miss with %+v", hit, got, want)
+	}
+}
+
+// TestLoadStaleVersionIsPlainMiss pins that a sound entry written under
+// another format version is stale, not corrupt: a plain miss that removes
+// the entry, with no cache error and nothing quarantined.
+func TestLoadStaleVersionIsPlainMiss(t *testing.T) {
+	payload := validEntryBytes(t)
+	binary.LittleEndian.PutUint32(payload[4:8], cacheFormatVersion-1)
+	hit, got := loadCounts(t, "stale", func(path string) {
+		if err := os.WriteFile(path, seal(payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
 	want := telemetry.CacheReport{Misses: 1}
 	if hit || got != want {
 		t.Fatalf("hit %v, counters %+v; want a miss with %+v", hit, got, want)

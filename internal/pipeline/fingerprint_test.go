@@ -32,7 +32,7 @@ func fingerprintRepo(n int) *vcs.Repo {
 
 // TestFingerprintPinned pins the cache keys to committed values, so any
 // change to the hashed bytes fails here: such a change orphans every
-// cache entry already on disk and must come with a cacheFormatVersion
+// cache entry already on disk and must come with a fingerprintRevision
 // bump (and new values below).
 func TestFingerprintPinned(t *testing.T) {
 	wp, err := vcs.ReadVersionDir("../../testdata/wordpressish")

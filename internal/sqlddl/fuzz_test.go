@@ -82,3 +82,30 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
+
+// TestQuotedIdentDefault pins how a double-quoted default is kept: quoted,
+// with embedded quotes doubled, so the canonical text re-parses to the same
+// default. MySQL without ANSI_QUOTES and SQLite read DEFAULT "" as an empty
+// string, so an empty one is a default too, not a parse error.
+func TestQuotedIdentDefault(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{`CREATE TABLE t (c varchar(5) NOT NULL DEFAULT "")`, `""`},
+		{`CREATE TABLE t (c INT DEFAULT "a b")`, `"a b"`},
+		{`CREATE TABLE t (c INT DEFAULT "a""b")`, `"a""b"`},
+	} {
+		for _, d := range append([]sqlddl.Dialect{sqlddl.Generic}, dialect.All()...) {
+			script := sqlddl.ParseWith(d, c.src)
+			if len(script.Errors) != 0 || len(script.Statements) != 1 {
+				t.Fatalf("%s: %s: %d statements, errors %v", d.Name(), c.src, len(script.Statements), script.Errors)
+			}
+			ct, ok := script.Statements[0].(*sqlddl.CreateTable)
+			if !ok || len(ct.Columns) != 1 || !ct.Columns[0].HasDefault || ct.Columns[0].Default != c.want {
+				t.Fatalf("%s: %s: parsed %#v, want one column with default %s", d.Name(), c.src, script.Statements[0], c.want)
+			}
+			re := sqlddl.ParseWith(d, sqlddl.Render(ct, d.LexProfile()))
+			if len(re.Statements) != 1 || re.Statements[0].(*sqlddl.CreateTable).Columns[0].Default != c.want {
+				t.Errorf("%s: %s: rendered default does not re-parse to %s", d.Name(), c.src, c.want)
+			}
+		}
+	}
+}
