@@ -68,18 +68,19 @@ func Train(featureNames []string, samples []Sample, opts Options) (*Tree, error)
 	return t, nil
 }
 
+// gini is the Gini impurity 1 - Σ(c/n)², computed as 1 - Σc²/n² with the
+// sum in integers: summing float shares in map order rounded differently
+// from run to run, enough to flip a near-tie split.
 func gini(samples []Sample) float64 {
 	counts := map[string]int{}
 	for _, s := range samples {
 		counts[s.Class]++
 	}
-	g := 1.0
-	n := float64(len(samples))
+	sumsq, n := 0, len(samples)
 	for _, c := range counts {
-		p := float64(c) / n
-		g -= p * p
+		sumsq += c * c
 	}
-	return g
+	return 1 - float64(sumsq)/float64(n*n)
 }
 
 func majorityClass(samples []Sample) string {

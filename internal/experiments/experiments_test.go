@@ -189,6 +189,30 @@ func TestFigure5FewMisclassified(t *testing.T) {
 	}
 }
 
+// TestFigure5TreeIsDeterministic fits the Fig. 5 tree to one labelled
+// corpus again and again and requires one tree. Seed 3's corpus has a
+// node where two features split with Gini gains that tie up to float
+// rounding, so a gain summed in map order picked either at random.
+func TestFigure5TreeIsDeterministic(t *testing.T) {
+	ctx, err := NewPaperContext(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for i := 0; i < 30; i++ {
+		res, err := Figure5(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res.Render()
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("fit %d printed another tree:\n%s\nthan the first:\n%s", i, got, want)
+		}
+	}
+}
+
 func TestFigure6EssentialDisjointness(t *testing.T) {
 	res := Figure6(paperCtx(t))
 	if len(res.Points) < 10 {

@@ -114,13 +114,13 @@ func FingerprintDialect(r *vcs.Repo, sel string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// cacheEntry is the persisted form of one project's memoized analysis:
-// the reconstructed history and the computed measures. Labels are cheap
-// and scheme-dependent, so they are always recomputed. Entries are
-// serialized with the binary codec in codec.go and sealed with a CRC-32C
-// trailer.
-type cacheEntry struct {
-	Version     int
+// CachedResult is one project's memoized analysis, keyed by its content
+// fingerprint: the reconstructed history and the computed measures.
+// Labels are cheap and scheme-dependent, so they are always recomputed.
+// It is both the disk cache's entry, written with EncodeResult
+// (flatcodec.go) and sealed with a CRC-32C trailer, and the unit the
+// analysis service's result store holds, in the same bytes.
+type CachedResult struct {
 	Fingerprint string
 	Project     string
 	History     *history.History
@@ -207,7 +207,7 @@ func unseal(data []byte) ([]byte, error) {
 // A sound entry of another format version is stale, not corrupt: it is
 // removed and counts as a plain miss.
 // A hit's strings are views into the buffer read here (see flatcodec.go).
-func (c *diskCache) load(fingerprint string) *cacheEntry {
+func (c *diskCache) load(fingerprint string) *CachedResult {
 	if c == nil {
 		return nil
 	}
@@ -242,11 +242,11 @@ func (c *diskCache) load(fingerprint string) *cacheEntry {
 		c.cnt.Add(telemetry.CacheMisses, 1)
 		return nil
 	}
-	var e *cacheEntry
+	var e *CachedResult
 	if err == nil {
-		e, err = decodeEntry(payload)
+		e, err = DecodeResult(payload)
 	}
-	if err != nil || e.Version != cacheFormatVersion || e.Fingerprint != fingerprint {
+	if err != nil || e.Fingerprint != fingerprint {
 		c.quarantine(fingerprint)
 		c.cnt.Add(telemetry.CacheErrors, 1)
 		c.cnt.Add(telemetry.CacheMisses, 1)
@@ -330,13 +330,7 @@ func (c *diskCache) store(fingerprint, project string, h *history.History, m met
 	// written straight from it; nothing here outlives the scratch.
 	sc := getFlatScratch()
 	defer sc.release()
-	data := seal(sc.encode(&cacheEntry{
-		Version:     cacheFormatVersion,
-		Fingerprint: fingerprint,
-		Project:     project,
-		History:     h,
-		Measures:    m,
-	}))
+	data := seal(sc.encode(&CachedResult{Fingerprint: fingerprint, Project: project, History: h, Measures: m}))
 	if c.fault.At("cache.write.bytes", fingerprint) == faultinject.KindCorrupt {
 		c.fault.Mangle(data, fingerprint)
 	}

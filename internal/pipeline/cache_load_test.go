@@ -23,7 +23,7 @@ func TestLoadEntryOutlivesItsFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := decodeEntry(payload)
+	probe, err := DecodeResult(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestLoadEntryOutlivesItsFile(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.GC()
-	if got := seal(encodeEntry(e)); !bytes.Equal(got, image) {
+	if got := seal(EncodeResult(e)); !bytes.Equal(got, image) {
 		t.Fatal("loaded entry changed after its file was overwritten and removed")
 	}
 }

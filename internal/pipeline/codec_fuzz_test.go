@@ -24,8 +24,7 @@ func validEntryBytes(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return encodeEntry(&cacheEntry{
-		Version:     cacheFormatVersion,
+	return EncodeResult(&CachedResult{
 		Fingerprint: Fingerprint(r),
 		Project:     r.Name,
 		History:     h,
@@ -33,26 +32,93 @@ func validEntryBytes(tb testing.TB) []byte {
 	})
 }
 
+// validRepoBytes encodes one real project's source snapshot as a seed
+// input.
+func validRepoBytes(tb testing.TB) []byte {
+	tb.Helper()
+	c, err := synth.RandomCorpus(1, 9)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return EncodeRepo(c.Projects[0].Repo)
+}
+
+// flatImage frames whatever build writes as a flat image of one kind: a
+// well-formed header, the field stream, then the arena.
+func flatImage(magic [4]byte, version uint32, build func(w *flatEnc)) []byte {
+	w := &flatEnc{
+		buf: make([]byte, flatHeaderSize),
+		ar:  &flatArena{intern: make(map[string]flatRef)},
+	}
+	build(w)
+	ao := len(w.buf)
+	img := append(w.buf, w.ar.data...)
+	putFlatHeader(img, magic, version, ao, 0)
+	return img
+}
+
+// flatSnapshot assembles a crafted snapshot: the repo name, then whatever
+// build appends.
+func flatSnapshot(build func(w *flatEnc)) []byte {
+	return flatImage(repoMagic, repoFormatVersion, func(w *flatEnc) {
+		w.str("repo")
+		build(w)
+	})
+}
+
+// truncatedSnapshot cuts the last field (the final commit's SrcLines) out
+// of a valid snapshot's stream and re-frames the rest, so the header is
+// sound and the decoder runs off the end of the stream.
+func truncatedSnapshot(valid []byte) []byte {
+	ao := int(binary.LittleEndian.Uint64(valid[8:16]))
+	img := append(append([]byte(nil), valid[:ao-8]...), valid[ao:]...)
+	putFlatHeader(img, repoMagic, repoFormatVersion, ao-8, 0)
+	return img
+}
+
+// hugeCountSnapshot declares 2^32-2 commits.
+func hugeCountSnapshot() []byte {
+	return flatSnapshot(func(w *flatEnc) { w.u32(math.MaxUint32) })
+}
+
+// overCountSnapshot declares 255 commits over 256 stream bytes: within a
+// byte-granular bound, beyond the 48-byte minimum commit.
+func overCountSnapshot() []byte {
+	return flatSnapshot(func(w *flatEnc) {
+		w.u32(256)
+		w.buf = append(w.buf, make([]byte, 256)...)
+	})
+}
+
+// arenaRefSnapshot points the repo name's reference one past the arena.
+func arenaRefSnapshot() []byte {
+	data := flatSnapshot(func(w *flatEnc) { w.u32(1) }) // no commits
+	arenaLen := binary.LittleEndian.Uint64(data[16:24])
+	binary.LittleEndian.PutUint32(data[flatHeaderSize:], 0)
+	binary.LittleEndian.PutUint32(data[flatHeaderSize+4:], uint32(arenaLen)+1)
+	return data
+}
+
+// withHeaderByte returns a copy of img with header byte i set to v.
+func withHeaderByte(img []byte, i int, v byte) []byte {
+	out := append([]byte(nil), img...)
+	out[i] = v
+	return out
+}
+
 // flatEntry assembles a crafted flat entry: a well-formed header and
 // entry prefix up to (and excluding) the history's table-pool count, then
 // whatever build appends, then the arena. Crafted counts and references
 // therefore land on a live decode path.
 func flatEntry(build func(w *flatEnc)) []byte {
-	w := &flatEnc{
-		buf: make([]byte, flatHeaderSize),
-		ar:  &flatArena{intern: make(map[string]flatRef)},
-	}
-	w.str("fp")
-	w.str("proj")
-	w.u8(1) // history present
-	w.str("proj")
-	w.str("schema.sql")
-	build(w)
-	copy(w.buf[0:4], flatMagic[:])
-	binary.LittleEndian.PutUint32(w.buf[4:8], cacheFormatVersion)
-	binary.LittleEndian.PutUint64(w.buf[8:16], uint64(len(w.buf)))
-	binary.LittleEndian.PutUint64(w.buf[16:24], uint64(len(w.ar.data)))
-	return append(w.buf, w.ar.data...)
+	return flatImage(flatMagic, cacheFormatVersion, func(w *flatEnc) {
+		w.str("fp")
+		w.str("proj")
+		w.u8(1) // history present
+		w.str("proj")
+		w.str("schema.sql")
+		build(w)
+	})
 }
 
 // pool and slab-total header: empty pool, all slabs zero.
@@ -135,18 +201,19 @@ func TestCodecCraftedCorruption(t *testing.T) {
 		{"slab-totals-lie", slabLieEntry()},
 		{"arena-ref-out-of-bounds", arenaRefEntry()},
 	} {
-		if _, err := decodeEntry(tc.data); err == nil {
+		if _, err := DecodeResult(tc.data); err == nil {
 			t.Errorf("%s: crafted entry accepted", tc.name)
 		}
 	}
 }
 
-// FuzzDecodeFlat hammers the flat cache-entry decoder with mutated
-// (truncated, bit-flipped, crafted) inputs. The decoder must never panic
-// or slice out of bounds, and any input it accepts must re-encode into a
-// stable fixed point (presence bytes and arena layout are the only
-// non-canonical encodings, so equality is checked decode-to-decode, not
-// byte-to-byte).
+// FuzzDecodeFlat hammers both flat decoders, DecodeResult and
+// DecodeRepo, with every input: mutated (truncated, bit-flipped, crafted)
+// results and snapshots. Neither may panic or slice out of bounds, and
+// any input one accepts must re-encode into a stable fixed point
+// (presence bytes, arena layout and, in a snapshot, repeated paths are
+// the only non-canonical encodings, so equality is checked
+// decode-to-decode, not byte-to-byte).
 func FuzzDecodeFlat(f *testing.F) {
 	f.Add(validEntryBytes(f))
 	f.Add(hugeCountEntry())
@@ -156,17 +223,32 @@ func FuzzDecodeFlat(f *testing.F) {
 	f.Add(arenaRefEntry())
 	f.Add([]byte{})
 	f.Add(flatMagic[:])
+	repo := validRepoBytes(f)
+	f.Add(repo)
+	f.Add(truncatedSnapshot(repo))
+	f.Add(hugeCountSnapshot())
+	f.Add(overCountSnapshot())
+	f.Add(arenaRefSnapshot())
+	f.Add(withHeaderByte(repo, 31, 1)) // reserved byte
+	f.Add(withHeaderByte(repo, 24, 1)) // tag byte
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, err := decodeEntry(data)
-		if err != nil {
-			return
+		if e, err := DecodeResult(data); err == nil {
+			again, err := DecodeResult(EncodeResult(e))
+			if err != nil {
+				t.Fatalf("accepted entry does not re-encode: %v", err)
+			}
+			if !reflect.DeepEqual(e, again) {
+				t.Fatal("re-encoded entry decodes differently")
+			}
 		}
-		again, err := decodeEntry(encodeEntry(e))
-		if err != nil {
-			t.Fatalf("accepted entry does not re-encode: %v", err)
-		}
-		if !reflect.DeepEqual(e, again) {
-			t.Fatal("re-encoded entry decodes differently")
+		if r, err := DecodeRepo(data); err == nil {
+			again, err := DecodeRepo(EncodeRepo(r))
+			if err != nil {
+				t.Fatalf("accepted snapshot does not re-encode: %v", err)
+			}
+			if !reflect.DeepEqual(r, again) {
+				t.Fatal("re-encoded snapshot decodes differently")
+			}
 		}
 	})
 }

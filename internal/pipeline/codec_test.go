@@ -22,14 +22,13 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", p.Repo.Name, err)
 		}
-		in := &cacheEntry{
-			Version:     cacheFormatVersion,
+		in := &CachedResult{
 			Fingerprint: Fingerprint(p.Repo),
 			Project:     p.Repo.Name,
 			History:     h,
 			Measures:    metrics.Compute(h),
 		}
-		out, err := decodeEntry(encodeEntry(in))
+		out, err := DecodeResult(EncodeResult(in))
 		if err != nil {
 			t.Fatalf("%s: decode: %v", p.Repo.Name, err)
 		}
@@ -53,29 +52,28 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := encodeEntry(&cacheEntry{
-		Version:     cacheFormatVersion,
+	data := EncodeResult(&CachedResult{
 		Fingerprint: Fingerprint(p.Repo),
 		Project:     p.Repo.Name,
 		History:     h,
 		Measures:    metrics.Compute(h),
 	})
 
-	if _, err := decodeEntry(data); err != nil {
+	if _, err := DecodeResult(data); err != nil {
 		t.Fatalf("valid entry rejected: %v", err)
 	}
-	if _, err := decodeEntry(nil); err == nil {
+	if _, err := DecodeResult(nil); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := decodeEntry([]byte("{broken json}")); err == nil {
+	if _, err := DecodeResult([]byte("{broken json}")); err == nil {
 		t.Error("non-magic input accepted")
 	}
-	if _, err := decodeEntry(append(append([]byte(nil), data...), 0)); err == nil {
+	if _, err := DecodeResult(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Error("trailing byte accepted")
 	}
 	step := len(data)/200 + 1
 	for n := 0; n < len(data); n += step {
-		if _, err := decodeEntry(data[:n]); err == nil {
+		if _, err := DecodeResult(data[:n]); err == nil {
 			t.Fatalf("truncation at %d/%d bytes accepted", n, len(data))
 		}
 	}

@@ -63,7 +63,7 @@ func digestOf(parts [][]byte) string {
 func TestEncodingsPinned(t *testing.T) {
 	const (
 		wantResults = "328dee59b81e0497355ffb9ca7bf075370c42f705af0a545ae2f28ed558018c8"
-		wantRepos   = "fb521a2839e8fa2b519da1fe491dc2144c7680a6f9d6dad788d44045808d1fb2"
+		wantRepos   = "ff3a1e8ca0f7cd6cd641582a9964789e7781c8d728fe7cc932342b499c6c81da"
 		wantCache   = "3556c981410b0f5e87f29efd28d18d9e8c824aa12a022ee45ac5f6f85120e34f"
 	)
 	rs, repos := paperEncodings()

@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -13,15 +15,20 @@ import (
 	"schemaevo/internal/metrics"
 	"schemaevo/internal/schema"
 	"schemaevo/internal/sqlddl"
+	"schemaevo/internal/vcs"
 )
 
-// Cache entries are persisted in a flat, zero-copy binary format:
+// The pipeline persists two kinds of binary images in one flat, zero-copy
+// format: analysis results (cache entries and the result store's records,
+// EncodeResult) and source snapshots (the result store's source records,
+// EncodeRepo). Both share one header:
 //
-//	[0:4]   magic "SEVF"
-//	[4:8]   u32 format version (must equal cacheFormatVersion)
+//	[0:4]   magic: "SEVF" for a result, "SEVS" for a snapshot
+//	[4:8]   u32 format version (cacheFormatVersion, repoFormatVersion)
 //	[8:16]  u64 arena offset
-//	[16:24] u64 arena length (offset + length == file size, exactly)
-//	[24]    u8 dialect tag (sqlddl.DialectID of the history; 0 = generic)
+//	[16:24] u64 arena length (offset + length == image size, exactly)
+//	[24]    u8 tag: a result's dialect (sqlddl.DialectID of the history;
+//	        0 = generic); zero in a snapshot
 //	[25:32] reserved, must be zero
 //	[32:ao] fixed-width field stream
 //	[ao:]   string arena
@@ -32,16 +39,24 @@ import (
 // the encoding stays canonical (value-equal entries are byte-equal).
 //
 // Every field in the stream has a fixed width: integers and floats are 8
-// bytes little-endian, presence flags and booleans one byte, slice counts
-// u32 (0 = nil, n+1 otherwise, mirroring the variable-width codec), and
-// every string an 8-byte (offset, length) reference into the arena. A
-// decoded entry therefore allocates no per-string memory at all: strings
-// are bounds-checked views over the arena (unsafe.String). The arena is
-// deduplicated — each distinct string is stored once — and the decoder
-// never copies it, so the backing buffer must outlive the decoded entry.
-// The cache reads each entry into a heap buffer of its own, and the views
-// keep that buffer reachable, so the GC frees it with the last decoded
-// string that uses it.
+// bytes little-endian, presence flags and booleans one byte, slice and
+// map counts u32 (0 = nil, n+1 otherwise), times (UnixNano, zone offset
+// seconds; the zone name is dropped, as a JSON RFC 3339 round trip drops
+// it), and every string an 8-byte (offset, length) reference into the
+// arena. A decoded image therefore allocates no per-string memory at all:
+// strings are bounds-checked views over the arena (unsafe.String). The
+// decoder never copies the arena, so the backing buffer must outlive what
+// was decoded from it and never change. The cache reads each entry into a
+// heap buffer of its own, and the store's records are heap buffers it
+// never writes to again, so the views keep that buffer reachable and the
+// GC frees it with the last decoded string that uses it. A caller that
+// keeps one decoded string for long (a name in an index) copies it rather
+// than pin the whole image.
+//
+// A result's arena is deduplicated — each distinct string is stored once.
+// A snapshot's is not: EncodeRepo sizes the image in a first pass and
+// writes it straight into one buffer of exact size, so it needs no
+// pooled scratch and no intern map (see EncodeRepo).
 //
 // The predecessor format re-encoded every version's full table list, so a
 // warm decode allocated every table fresh even though cold assembly shares
@@ -55,28 +70,50 @@ import (
 // string elements, foreign keys, ...) so the decoder can allocate each
 // kind of element as one slab instead of per-table slices.
 //
-// Decoded snapshots are Sealed, exactly like freshly computed ones: the
-// pool tables are shared across versions, so any later mutation must go
+// Decoded schema snapshots are Sealed, exactly like freshly computed
+// ones: the pool tables are shared across versions, so any later mutation must go
 // through the copy-on-write path.
 //
-// The encoder builds each entry once. Its working state — field stream,
+// The result encoder builds each entry once. Its working state — field stream,
 // arena and intern map, table pool and its two dedup maps, the
 // per-version pool index lists — lives in a flatScratch taken from a
 // sync.Pool, so a warm encode allocates nothing of its own. The entry
 // image an encode produces is a view of the scratch and never outlives
-// it: encodeEntry (and so EncodeResult) copies it out once into a buffer
-// of exact size, which the store's hot tier keeps; the disk cache seals
+// it: EncodeResult copies it out once into a buffer of exact size, which the store's hot tier keeps; the disk cache seals
 // the CRC trailer onto the scratch and writes straight from it.
 
-// flatMagic guards against feeding arbitrary files to the decoder.
-var flatMagic = [4]byte{'S', 'E', 'V', 'F'}
+var errCorruptEntry = errors.New("pipeline: corrupt cache entry")
+
+// The magics guard against feeding arbitrary bytes to a decoder, or one
+// kind of image to the other's.
+var (
+	flatMagic = [4]byte{'S', 'E', 'V', 'F'}
+	repoMagic = [4]byte{'S', 'E', 'V', 'S'}
+)
+
+// repoFormatVersion identifies the snapshot layout; bump it whenever
+// vcs.Repo or its encoding changes shape. Version 1 was a variable-width
+// length-prefixed stream; version 2 is the flat format.
+const repoFormatVersion = 2
 
 const flatHeaderSize = 32
+
+// putFlatHeader fills the header of img, an image whose field stream ends
+// and arena begins at arenaOff. The reserved bytes are left as they are:
+// zero, in every buffer the encoders build.
+func putFlatHeader(img []byte, magic [4]byte, version uint32, arenaOff int, tag byte) {
+	copy(img[0:4], magic[:])
+	binary.LittleEndian.PutUint32(img[4:8], version)
+	binary.LittleEndian.PutUint64(img[8:16], uint64(arenaOff))
+	binary.LittleEndian.PutUint64(img[16:24], uint64(len(img)-arenaOff))
+	img[24] = tag
+}
 
 // flatRef locates one string in the arena.
 type flatRef struct{ off, n uint32 }
 
-// flatArena accumulates deduplicated string data during encoding.
+// flatArena accumulates string data during encoding, deduplicated through
+// intern unless intern is nil.
 type flatArena struct {
 	data   []byte
 	intern map[string]flatRef
@@ -91,7 +128,9 @@ func (a *flatArena) ref(s string) flatRef {
 	}
 	r := flatRef{off: uint32(len(a.data)), n: uint32(len(s))}
 	a.data = append(a.data, s...)
-	a.intern[s] = r
+	if a.intern != nil {
+		a.intern[s] = r
+	}
 	return r
 }
 
@@ -403,38 +442,95 @@ func (e *flatEnc) measures(m *metrics.Measures) {
 	}
 }
 
-// encode serializes e into the scratch and returns the entry image:
+// encode serializes r into the scratch and returns the entry image:
 // header, field stream, arena. The bytes belong to the scratch; they are
 // valid until release and must not escape it. Encoding is deterministic:
 // value-equal entries produce identical bytes, which the result store's
 // content addressing and the differential tests rely on.
-func (s *flatScratch) encode(e *cacheEntry) []byte {
+func (s *flatScratch) encode(r *CachedResult) []byte {
 	var hdr [flatHeaderSize]byte
 	w := &s.w
 	w.buf = append(w.buf[:0], hdr[:]...)
-	w.str(e.Fingerprint)
-	w.str(e.Project)
-	s.history(e.History)
-	w.measures(&e.Measures)
-	copy(w.buf[0:4], flatMagic[:])
-	binary.LittleEndian.PutUint32(w.buf[4:8], uint32(e.Version))
-	binary.LittleEndian.PutUint64(w.buf[8:16], uint64(len(w.buf)))
-	binary.LittleEndian.PutUint64(w.buf[16:24], uint64(len(s.arena.data)))
-	if e.History != nil {
-		w.buf[24] = byte(e.History.Dialect)
-	}
+	w.str(r.Fingerprint)
+	w.str(r.Project)
+	s.history(r.History)
+	w.measures(&r.Measures)
+	ao := len(w.buf)
 	w.buf = append(w.buf, s.arena.data...)
+	var tag byte
+	if r.History != nil {
+		tag = byte(r.History.Dialect)
+	}
+	putFlatHeader(w.buf, flatMagic, cacheFormatVersion, ao, tag)
 	return w.buf
 }
 
-// encodeEntry serializes a cache entry in the flat format into a buffer
-// of its own, of exact size (cap == len).
-func encodeEntry(e *cacheEntry) []byte {
+// EncodeResult serializes a result in the flat format into a buffer of
+// its own, of exact size (cap == len). The bytes round-trip exactly
+// through DecodeResult; they carry no checksum trailer (in-memory stores
+// do not bit-rot — the disk cache adds CRC-32C separately via its
+// seal/unseal layer).
+func EncodeResult(r *CachedResult) []byte {
 	s := getFlatScratch()
-	b := s.encode(e)
+	b := s.encode(r)
 	out := make([]byte, len(b))
 	copy(out, b)
 	s.release()
+	return out
+}
+
+// EncodeRepo serializes a source snapshot: the repo name, then per commit
+// its ID, time, message, files, deleted paths and SrcLines. Files are
+// written in sorted-path order, so equal repos encode to equal bytes,
+// which the store's content addressing and the differential tests rely
+// on. The bytes round-trip exactly through DecodeRepo up to time-zone
+// names (only the UTC offset is kept), which the analysis never reads:
+// fingerprints and results of the decoded repo are identical to the
+// original's.
+//
+// A sizing pass first, so the image is written in one allocation of
+// exactly its length: the stream straight into its place, the arena into
+// the capacity behind it. Deduplicating the arena would need an intern
+// map, and so pooled scratch; without one, the number of allocations
+// does not grow with the snapshot.
+func EncodeRepo(r *vcs.Repo) []byte {
+	stream, arena := flatHeaderSize+8+4, len(r.Name)
+	for i := range r.Commits {
+		c := &r.Commits[i]
+		stream += 8 + 16 + 8 + 4 + 16*len(c.Files) + 4 + 8*len(c.Deleted) + 8
+		arena += len(c.ID) + len(c.Message)
+		for p, body := range c.Files {
+			arena += len(p) + len(body)
+		}
+		for _, p := range c.Deleted {
+			arena += len(p)
+		}
+	}
+	out := make([]byte, stream+arena)
+	w := &flatEnc{buf: out[:flatHeaderSize:stream], ar: &flatArena{data: out[stream:stream]}}
+	w.str(r.Name)
+	w.cnt(len(r.Commits), r.Commits == nil)
+	var few [8]string // the path list; most commits touch a few files
+	paths := few[:0]
+	for i := range r.Commits {
+		c := &r.Commits[i]
+		w.str(c.ID)
+		w.when(c.Time)
+		w.str(c.Message)
+		w.cnt(len(c.Files), c.Files == nil)
+		paths = paths[:0]
+		for p := range c.Files {
+			paths = append(paths, p)
+		}
+		slices.Sort(paths)
+		for _, p := range paths {
+			w.str(p)
+			w.str(c.Files[p])
+		}
+		w.strs(c.Deleted)
+		w.i64(int64(c.SrcLines))
+	}
+	putFlatHeader(out, repoMagic, repoFormatVersion, stream, 0)
 	return out
 }
 
@@ -506,10 +602,10 @@ func (d *flatDec) str() string {
 	return unsafe.String(&d.arena[off], int(n))
 }
 
-// cnt decodes a slice length; n < 0 means the slice was nil. As in the
-// variable-width codec, elemSize is the minimum encoded size of one
-// element, bounding the length against the remaining stream bytes so a
-// crafted count cannot force overallocation.
+// cnt decodes a slice or map length; n < 0 means it was nil. elemSize is
+// the minimum encoded size of one element, bounding the length against
+// the remaining stream bytes so a crafted count cannot force
+// overallocation.
 func (d *flatDec) cnt(elemSize int) int {
 	v := d.u32()
 	if v == 0 || d.err != nil {
@@ -554,6 +650,18 @@ func (d *flatDec) ints() []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = int(d.i64())
+	}
+	return out
+}
+
+func (d *flatDec) strs() []string {
+	n := d.cnt(8)
+	if n < 0 || d.err != nil {
+		return nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = d.str()
 	}
 	return out
 }
@@ -806,50 +914,108 @@ func (d *flatDec) measures() metrics.Measures {
 	return m
 }
 
-// decodeEntry deserializes a flat cache entry, failing on any truncation,
-// trailing garbage, version mismatch, or magic/bounds violation. Strings
-// in the returned entry alias data; the caller must not mutate the buffer
-// while the entry is reachable.
-func decodeEntry(data []byte) (*cacheEntry, error) {
-	if len(data) < flatHeaderSize || string(data[0:4]) != string(flatMagic[:]) {
+// flatOpen checks the header of a flat image against its kind's magic
+// and format version and returns a decoder positioned at the field
+// stream. The tag byte, data[24], is the caller's to check.
+func flatOpen(data []byte, magic [4]byte, version uint32) (*flatDec, error) {
+	if len(data) < flatHeaderSize || string(data[0:4]) != string(magic[:]) {
 		return nil, errCorruptEntry
 	}
-	version := binary.LittleEndian.Uint32(data[4:8])
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != version {
+		return nil, fmt.Errorf("%w: format version %d", errCorruptEntry, v)
+	}
 	arenaOff := binary.LittleEndian.Uint64(data[8:16])
 	arenaLen := binary.LittleEndian.Uint64(data[16:24])
-	if version != cacheFormatVersion {
-		return nil, fmt.Errorf("%w: format version %d", errCorruptEntry, version)
-	}
 	if arenaOff < flatHeaderSize || arenaOff > uint64(len(data)) || arenaLen != uint64(len(data))-arenaOff {
-		return nil, fmt.Errorf("%w: arena bounds [%d,+%d) outside %d-byte entry", errCorruptEntry, arenaOff, arenaLen, len(data))
-	}
-	dia := sqlddl.DialectID(data[24])
-	if !dia.Valid() {
-		return nil, fmt.Errorf("%w: dialect tag %d", errCorruptEntry, data[24])
+		return nil, fmt.Errorf("%w: arena bounds [%d,+%d) outside %d-byte image", errCorruptEntry, arenaOff, arenaLen, len(data))
 	}
 	for _, b := range data[25:32] {
 		if b != 0 {
 			return nil, fmt.Errorf("%w: nonzero reserved header byte", errCorruptEntry)
 		}
 	}
-	d := &flatDec{buf: data, off: flatHeaderSize, end: int(arenaOff), arena: data[arenaOff:]}
-	e := &cacheEntry{Version: int(version)}
-	e.Fingerprint = d.str()
-	e.Project = d.str()
-	e.History = d.history()
-	if e.History != nil {
-		e.History.Dialect = dia
+	return &flatDec{buf: data, off: flatHeaderSize, end: int(arenaOff), arena: data[arenaOff:]}, nil
+}
+
+// close reports the first decode error, or trailing stream bytes: the
+// stream must end exactly at the arena.
+func (d *flatDec) close() error {
+	if d.err != nil {
+		return d.err
+	}
+	if d.off != d.end {
+		return fmt.Errorf("%w: %d trailing stream bytes", errCorruptEntry, d.end-d.off)
+	}
+	return nil
+}
+
+// DecodeResult deserializes EncodeResult bytes (and so a cache entry's
+// payload), failing on any truncation, trailing garbage, version
+// mismatch, or magic/bounds violation. Strings in the returned result
+// alias data; the caller must not mutate the buffer while the result is
+// reachable.
+func DecodeResult(data []byte) (*CachedResult, error) {
+	d, err := flatOpen(data, flatMagic, cacheFormatVersion)
+	if err != nil {
+		return nil, err
+	}
+	dia := sqlddl.DialectID(data[24])
+	if !dia.Valid() {
+		return nil, fmt.Errorf("%w: dialect tag %d", errCorruptEntry, data[24])
+	}
+	r := &CachedResult{Fingerprint: d.str(), Project: d.str(), History: d.history()}
+	if r.History != nil {
+		r.History.Dialect = dia
 	} else if dia != sqlddl.DialectGeneric {
 		// A dialect tag with no history to hang it on is not a state the
 		// encoder produces.
 		return nil, fmt.Errorf("%w: dialect tag %d on history-less entry", errCorruptEntry, data[24])
 	}
-	e.Measures = d.measures()
-	if d.err != nil {
-		return nil, d.err
+	r.Measures = d.measures()
+	if err := d.close(); err != nil {
+		return nil, err
 	}
-	if d.off != d.end {
-		return nil, fmt.Errorf("%w: %d trailing stream bytes", errCorruptEntry, d.end-d.off)
+	return r, nil
+}
+
+// DecodeRepo deserializes EncodeRepo bytes, failing on any truncation,
+// trailing garbage, version mismatch, a nonzero tag, or a magic/bounds
+// violation. Strings in the returned repo alias data, as DecodeResult's
+// do. It does not re-validate the repo: the store only persists snapshots
+// that already passed vcs.Repo.Validate at submission time.
+func DecodeRepo(data []byte) (*vcs.Repo, error) {
+	d, err := flatOpen(data, repoMagic, repoFormatVersion)
+	if err != nil {
+		return nil, err
 	}
-	return e, nil
+	if data[24] != 0 {
+		return nil, fmt.Errorf("%w: tag %d on a snapshot", errCorruptEntry, data[24])
+	}
+	r := &vcs.Repo{Name: d.str()}
+	// commit: id + time + message + files count + deleted count + src lines
+	if n := d.cnt(8 + 16 + 8 + 4 + 4 + 8); n >= 0 {
+		r.Commits = make([]vcs.Commit, n)
+		for i := range r.Commits {
+			if d.err != nil {
+				break
+			}
+			c := &r.Commits[i]
+			c.ID = d.str()
+			c.Time = d.when()
+			c.Message = d.str()
+			if nf := d.cnt(16); nf >= 0 { // file: path and content refs
+				c.Files = make(map[string]string, nf)
+				for j := 0; j < nf; j++ {
+					p := d.str()
+					c.Files[p] = d.str()
+				}
+			}
+			c.Deleted = d.strs()
+			c.SrcLines = int(d.i64())
+		}
+	}
+	if err := d.close(); err != nil {
+		return nil, err
+	}
+	return r, nil
 }

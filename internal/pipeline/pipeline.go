@@ -149,7 +149,7 @@ const (
 type job struct {
 	p           *corpus.Project
 	fingerprint string
-	entry       *cacheEntry
+	entry       *CachedResult
 	ddlPath     string
 	parsed      []history.ParsedVersion
 	dialect     sqlddl.DialectID

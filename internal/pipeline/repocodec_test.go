@@ -33,6 +33,19 @@ func TestRepoCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeRepoDeterministic pins that a snapshot's files are written in
+// sorted-path order: equal repos must encode to equal bytes, whatever
+// order their file maps iterate in.
+func TestEncodeRepoDeterministic(t *testing.T) {
+	r := fingerprintRepo(8) // three files per commit
+	want := EncodeRepo(r)
+	for i := 0; i < 20; i++ {
+		if !bytes.Equal(EncodeRepo(r), want) {
+			t.Fatalf("encode %d differs from the first", i)
+		}
+	}
+}
+
 // TestRepoCodecEdgeCases exercises nil-ness preservation and awkward
 // commits: nil Files, empty Files, deletions, zoned times.
 func TestRepoCodecEdgeCases(t *testing.T) {
@@ -93,5 +106,29 @@ func TestDecodeRepoRejectsGarbage(t *testing.T) {
 	}
 	if _, err := DecodeRepo(nil); err == nil {
 		t.Fatal("nil decoded")
+	}
+	if _, err := DecodeRepo(validEntryBytes(t)); err == nil {
+		t.Fatal("a result decoded as a snapshot")
+	}
+	if _, err := DecodeResult(good); err == nil {
+		t.Fatal("a snapshot decoded as a result")
+	}
+
+	// Crafted snapshots with a sound frame: each must be refused, never
+	// panic, index out of bounds or overallocate.
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"stream-truncated", truncatedSnapshot(good)},
+		{"huge-count", hugeCountSnapshot()},
+		{"count-exceeds-element-bound", overCountSnapshot()},
+		{"arena-ref-out-of-bounds", arenaRefSnapshot()},
+		{"nonzero-reserved-byte", withHeaderByte(good, 31, 1)},
+		{"nonzero-tag", withHeaderByte(good, 24, 1)},
+	} {
+		if _, err := DecodeRepo(tc.data); err == nil {
+			t.Errorf("%s: crafted snapshot accepted", tc.name)
+		}
 	}
 }

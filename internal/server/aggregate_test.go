@@ -9,10 +9,12 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"schemaevo/internal/core"
 	"schemaevo/internal/pipeline"
 	"schemaevo/internal/store"
+	"schemaevo/internal/synth"
 )
 
 // member is one analyzed project's contribution to the aggregate
@@ -318,5 +320,47 @@ func BenchmarkPatternsAfterWrite(b *testing.B) {
 		b.StartTimer()
 		s.aggPut(id, name, pats[i%len(pats)], prev)
 		s.patternsRendered()
+	}
+}
+
+// TestReanalyzedNameOwnsItsBytes pins that a project re-analyzed from its
+// stored snapshot joins the pattern index, and returns its result, under
+// a name of its own: the decoded snapshot's strings are views of the
+// stored bytes, and a kept view would pin the whole snapshot for as long
+// as the index holds it.
+func TestReanalyzedNameOwnsItsBytes(t *testing.T) {
+	c, err := synth.RandomCorpus(1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(context.Background(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	repo := c.Projects[0].Repo
+	src := pipeline.EncodeRepo(repo)
+	const id = "reanalyze-me"
+	// No result: the GET path would fall through to re-analysis.
+	if _, err := s.store.Put(store.Entry{ID: id, Name: repo.Name, Fingerprint: pipeline.Fingerprint(repo), Source: src}); err != nil {
+		t.Fatal(err)
+	}
+	res, ok, err := s.reanalyze(context.Background(), id)
+	if err != nil || !ok {
+		t.Fatalf("reanalyze: ok %v, err %v", ok, err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(src)))
+	inSnapshot := func(name string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(name)))
+		return p >= lo && p < lo+uintptr(len(src))
+	}
+	s.aggMu.Lock()
+	e, joined := s.agg.live[id]
+	s.aggMu.Unlock()
+	if !joined || e.name != repo.Name {
+		t.Fatalf("pattern index entry %+v (present %v); want name %q", e, joined, repo.Name)
+	}
+	if inSnapshot(e.name) || inSnapshot(res.Project) {
+		t.Fatal("the re-analyzed project's name is a view of its stored snapshot")
 	}
 }

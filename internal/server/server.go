@@ -48,6 +48,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -387,7 +388,7 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // wrap is the per-endpoint middleware: the drain gate, the per-request
 // deadline, and telemetry (request counter, latency histogram, in-flight
-// occupancy, one span per request).
+// occupancy).
 func (s *Server) wrap(name string, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return s.instrument(name, true, h)
 }
@@ -426,7 +427,6 @@ func (s *Server) instrument(name string, deadline bool, h func(http.ResponseWrit
 		s.inflight.Add(-1)
 		failed := sw.status >= 500
 		stage.Observe(0, busy, failed)
-		s.tel.RecordSpan(r.Method+" "+r.URL.Path, "http."+name, begin, busy, failed)
 	}
 }
 
@@ -933,6 +933,11 @@ func (s *Server) reanalyze(ctx context.Context, id string) (*pipeline.CachedResu
 		if derr != nil {
 			return nil, fmt.Errorf("server: stored snapshot for %s: %w", id, derr)
 		}
+		// The decoded strings are views of srcBytes. The name outlives
+		// this request: the pattern index, the render cache and the
+		// pipeline's spans keep it. Its own copy spares them pinning the
+		// whole snapshot.
+		repo.Name = strings.Clone(repo.Name)
 		s.semWait.Add(1)
 		select {
 		case s.sem <- struct{}{}:

@@ -248,7 +248,11 @@ type storeMeta struct {
 	Shards  int `json:"shards"`
 }
 
-const storeMetaVersion = 1
+// storeMetaVersion names the format of a directory's records. Version 2:
+// source records hold flat (format-2) snapshots. A build decodes only its
+// own snapshot format, so Open refuses a directory of another version,
+// which must be re-ingested.
+const storeMetaVersion = 2
 
 // Open builds the store, recovering the disk tier's index by scanning
 // every shard segment: damaged records are quarantined (counted, skipped,
@@ -295,6 +299,10 @@ func Open(cfg Config) (*Store, error) {
 		// with no error. Refuse to open instead.
 		if jerr := json.Unmarshal(data, &sm); jerr != nil {
 			return nil, fmt.Errorf("store: invalid %s: %w", metaPath, jerr)
+		} else if sm.Version != storeMetaVersion {
+			// Opening anyway would fail one entry at a time, as each
+			// record met a decoder of another format.
+			return nil, fmt.Errorf("store: %s is store format version %d, this build reads version %d; re-ingest the histories into a new directory", metaPath, sm.Version, storeMetaVersion)
 		} else if sm.Shards <= 0 {
 			return nil, fmt.Errorf("store: invalid %s: shard count %d", metaPath, sm.Shards)
 		} else {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -450,7 +451,7 @@ func TestOpenRejectsInvalidStoreMeta(t *testing.T) {
 	s.Close()
 
 	metaPath := filepath.Join(dir, "store.json")
-	for _, bad := range []string{"{not json", `{"version":1,"shards":0}`, `{"version":1,"shards":-2}`} {
+	for _, bad := range []string{"{not json", `{"version":2,"shards":0}`, `{"version":2,"shards":-2}`} {
 		if err := os.WriteFile(metaPath, []byte(bad), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -460,7 +461,7 @@ func TestOpenRejectsInvalidStoreMeta(t *testing.T) {
 	}
 
 	// A repaired sidecar restores service over the untouched segments.
-	if err := os.WriteFile(metaPath, []byte(`{"version":1,"shards":3}`), 0o644); err != nil {
+	if err := os.WriteFile(metaPath, []byte(`{"version":2,"shards":3}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(Config{Dir: dir, Shards: 3})
@@ -470,6 +471,47 @@ func TestOpenRejectsInvalidStoreMeta(t *testing.T) {
 	defer s2.Close()
 	e := entry(0, 1)
 	wantGet(t, s2, e.ID, "disk", e.Result)
+}
+
+// TestOpenRejectsOtherStoreVersion pins that a directory written under
+// another store format version fails Open with both versions named, and
+// is left as it was: opening it anyway would fail one entry at a time,
+// as each stored snapshot met a decoder of another format.
+func TestOpenRejectsOtherStoreVersion(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, s, entry(0, 1))
+	s.Close()
+
+	metaPath := filepath.Join(dir, "store.json")
+	written, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(`{"version":%d,"shards":3}`+"\n", storeMetaVersion); string(written) != want {
+		t.Fatalf("store.json = %q, want %q", written, want)
+	}
+	for _, v := range []int{1, storeMetaVersion + 1} {
+		old := fmt.Sprintf(`{"version":%d,"shards":3}`, v)
+		if err := os.WriteFile(metaPath, []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(Config{Dir: dir, Shards: 3})
+		if err == nil {
+			t.Fatalf("Open succeeded with store.json %s", old)
+		}
+		for _, n := range []int{v, storeMetaVersion} {
+			if !strings.Contains(err.Error(), fmt.Sprintf("version %d", n)) {
+				t.Errorf("Open error %q does not name version %d", err, n)
+			}
+		}
+		if got, _ := os.ReadFile(metaPath); string(got) != old {
+			t.Fatalf("refused Open rewrote store.json to %q", got)
+		}
+	}
 }
 
 func TestConcurrentPutGet(t *testing.T) {
