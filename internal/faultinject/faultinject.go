@@ -32,7 +32,7 @@ type Kind int
 const (
 	// KindNone means the site proceeds normally.
 	KindNone Kind = iota
-	// KindErr makes the site fail with a transient *Error.
+	// KindErr makes the site fail with an *Error.
 	KindErr
 	// KindCorrupt makes the site flip bytes in the data it handles.
 	KindCorrupt
@@ -61,8 +61,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// Error is the error injected for KindErr faults. It reports itself as
-// transient so retry layers treat it like a recoverable I/O failure.
+// Error is the error injected for KindErr faults, standing for an I/O
+// failure at the site.
 type Error struct {
 	Site string
 	Key  string
@@ -71,9 +71,6 @@ type Error struct {
 func (e *Error) Error() string {
 	return fmt.Sprintf("faultinject: injected I/O fault at %s (%s)", e.Site, e.Key)
 }
-
-// Transient marks the error as retryable.
-func (e *Error) Transient() bool { return true }
 
 // Config parameterizes an Injector.
 type Config struct {

@@ -117,17 +117,6 @@ func TestSleepRespectsContext(t *testing.T) {
 	nilInj.Sleep(context.Background())
 }
 
-// TestErrorTransient: injected errors advertise retryability.
-func TestErrorTransient(t *testing.T) {
-	e := &Error{Site: "cache.read", Key: "abc"}
-	if !e.Transient() {
-		t.Error("injected error not transient")
-	}
-	if e.Error() == "" {
-		t.Error("empty error message")
-	}
-}
-
 // TestSummary renders fired counters stably.
 func TestSummary(t *testing.T) {
 	in := New(Config{Seed: 3, Rate: 1, Kinds: []Kind{KindDelay}})

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 	"unsafe"
 
 	"schemaevo/internal/faultinject"
@@ -31,7 +30,7 @@ import (
 // dialect tag and made the dialect part of the fingerprint; version 6
 // keeps quoted identifiers quoted in default, CHECK and type-argument
 // text, so a version-5 entry no longer matches a cold parse. An entry of
-// another version is stale: load drops it as a plain miss.
+// another version is stale: load reads it as a plain miss.
 const cacheFormatVersion = 6
 
 // fingerprintRevision is hashed into every fingerprint and is bumped only
@@ -127,32 +126,20 @@ type CachedResult struct {
 	Measures    metrics.Measures
 }
 
-// corruptDirName is the subdirectory entries failing their integrity
-// check are moved to, preserved for inspection instead of deleted.
-const corruptDirName = "corrupt"
-
-// Quarantined entries are kept for inspection, not forever: the reaper
-// deletes files older than corruptMaxAge and, beyond that, the oldest
-// files past corruptMaxFiles. Bounds the directory on long-lived
-// deployments where bit-rot trickles in indefinitely.
-const (
-	corruptMaxFiles = 32
-	corruptMaxAge   = 7 * 24 * time.Hour
-)
-
 // diskCache memoizes analysis results under a directory, one file per
 // repository fingerprint. All methods are safe for concurrent use:
 // files are written atomically (temp + rename) and the counters are
-// atomics. Transient filesystem faults are retried with backoff; entries
-// that fail their checksum are quarantined to <dir>/corrupt/ and read as
-// misses, so a crash mid-write or bit-rot can never surface a wrong
-// result. A nil *diskCache is a valid no-op cache.
+// atomics. The analysis is a pure function of the history, so the cache
+// has one failure rule: an entry that cannot be used is a miss. The
+// pipeline recomputes the project and the recompute's write replaces the
+// entry; a crash mid-write or bit-rot can never surface a wrong result,
+// because every entry is CRC-sealed and carries its fingerprint. A nil
+// *diskCache is a valid no-op cache.
 type diskCache struct {
 	dir   string
 	fault *faultinject.Injector
 	cnt   *telemetry.Counters // chained to the collector's; holds the run's Stats
 	ctx   context.Context
-	retry func() // the withRetry tap, counting retries
 }
 
 // openCache prepares a cache rooted at dir, creating it if needed. fault
@@ -165,12 +152,7 @@ func openCache(dir string, fault *faultinject.Injector, tel *telemetry.Collector
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c := &diskCache{dir: dir, fault: fault, cnt: telemetry.NewCounters(tel.Counters()), ctx: ctx}
-	c.retry = func() { c.cnt.Add(telemetry.CacheRetries, 1) }
-	// A restart is the natural moment to age out quarantined entries
-	// left by previous runs.
-	c.reapCorrupt()
-	return c, nil
+	return &diskCache{dir: dir, fault: fault, cnt: telemetry.NewCounters(tel.Counters()), ctx: ctx}, nil
 }
 
 func (c *diskCache) path(fingerprint string) string {
@@ -201,28 +183,22 @@ func unseal(data []byte) ([]byte, error) {
 }
 
 // load returns the memoized entry for the fingerprint, or nil on a miss.
-// Unreadable files are retried, then count as misses plus cache errors;
-// entries failing the checksum or decode are quarantined for inspection
-// and count as misses — never as failures: the pipeline just recomputes.
-// A sound entry of another format version is stale, not corrupt: it is
-// removed and counts as a plain miss.
+// An entry that cannot be used is a miss, never a failure: an unreadable
+// file also counts as a cache error; an entry failing its checksum, its
+// decode or its fingerprint check also counts as corrupt and as an error;
+// a sound entry of another format version is stale, a plain miss.
+// Nothing is retried, moved or removed: the pipeline recomputes the
+// project, and the recompute's store call replaces the entry.
 // A hit's strings are views into the buffer read here (see flatcodec.go).
 func (c *diskCache) load(fingerprint string) *CachedResult {
 	if c == nil {
 		return nil
 	}
 	var data []byte
-	err := withRetry(retryAttempts, retryBackoff, c.retry, func() error {
-		switch c.fault.At("cache.read", fingerprint) {
-		case faultinject.KindErr:
-			return &faultinject.Error{Site: "cache.read", Key: fingerprint}
-		case faultinject.KindDelay:
-			c.fault.Sleep(c.ctx)
-		}
-		var rerr error
-		data, rerr = os.ReadFile(c.path(fingerprint))
-		return rerr
-	})
+	err := c.injected("cache.read", fingerprint)
+	if err == nil {
+		data, err = os.ReadFile(c.path(fingerprint))
+	}
 	if err != nil {
 		if !os.IsNotExist(err) {
 			c.cnt.Add(telemetry.CacheErrors, 1)
@@ -231,14 +207,12 @@ func (c *diskCache) load(fingerprint string) *CachedResult {
 		return nil
 	}
 	if c.fault.At("cache.read.bytes", fingerprint) == faultinject.KindCorrupt {
-		// data is this load's private copy, so mangling it leaves the
-		// file intact for quarantine to preserve.
+		// data is this load's private copy; the file stays as it is.
 		c.fault.Mangle(data, fingerprint)
 	}
 	payload, err := unseal(data)
 	if err == nil && len(payload) >= 8 && string(payload[0:4]) == string(flatMagic[:]) &&
 		binary.LittleEndian.Uint32(payload[4:8]) != cacheFormatVersion {
-		os.Remove(c.path(fingerprint))
 		c.cnt.Add(telemetry.CacheMisses, 1)
 		return nil
 	}
@@ -247,7 +221,7 @@ func (c *diskCache) load(fingerprint string) *CachedResult {
 		e, err = DecodeResult(payload)
 	}
 	if err != nil || e.Fingerprint != fingerprint {
-		c.quarantine(fingerprint)
+		c.cnt.Add(telemetry.CacheCorrupt, 1)
 		c.cnt.Add(telemetry.CacheErrors, 1)
 		c.cnt.Add(telemetry.CacheMisses, 1)
 		return nil
@@ -257,71 +231,9 @@ func (c *diskCache) load(fingerprint string) *CachedResult {
 	return e
 }
 
-// quarantine moves an entry that failed its integrity check into
-// <dir>/corrupt/ so it can be inspected; if the move fails the entry is
-// deleted, because a poisoned file must never be re-read as a hit.
-// CacheCorrupt counts the entry as both corrupt and quarantined.
-func (c *diskCache) quarantine(fingerprint string) {
-	c.cnt.Add(telemetry.CacheCorrupt, 1)
-	src := c.path(fingerprint)
-	dir := filepath.Join(c.dir, corruptDirName)
-	if os.MkdirAll(dir, 0o755) == nil {
-		if os.Rename(src, filepath.Join(dir, fingerprint+".sevc")) == nil {
-			c.reapCorrupt()
-			return
-		}
-	}
-	os.Remove(src)
-}
-
-// reapCorrupt enforces the quarantine retention policy: delete files in
-// <dir>/corrupt/ older than corruptMaxAge, then the oldest files beyond
-// corruptMaxFiles. Every deletion is counted via telemetry; failures are
-// ignored — retention is hygiene, not correctness, and the next pass
-// retries. Concurrent reapers at worst race on os.Remove, which is
-// idempotent (only successful removals are counted).
-func (c *diskCache) reapCorrupt() {
-	dir := filepath.Join(c.dir, corruptDirName)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	type aged struct {
-		name string
-		mod  time.Time
-	}
-	var files []aged
-	now := time.Now()
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		if now.Sub(info.ModTime()) > corruptMaxAge {
-			if os.Remove(filepath.Join(dir, e.Name())) == nil {
-				c.cnt.Add(telemetry.CacheReaped, 1)
-			}
-			continue
-		}
-		files = append(files, aged{e.Name(), info.ModTime()})
-	}
-	if len(files) <= corruptMaxFiles {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
-	for _, f := range files[:len(files)-corruptMaxFiles] {
-		if os.Remove(filepath.Join(dir, f.name)) == nil {
-			c.cnt.Add(telemetry.CacheReaped, 1)
-		}
-	}
-}
-
-// store persists an entry; transient failures are retried, remaining
-// failures are counted but non-fatal (the cache is an accelerator, not a
-// source of truth).
+// store persists an entry, replacing whatever the path held; a failure is
+// counted but non-fatal (the cache is an accelerator, not a source of
+// truth).
 func (c *diskCache) store(fingerprint, project string, h *history.History, m metrics.Measures) {
 	if c == nil {
 		return
@@ -334,15 +246,10 @@ func (c *diskCache) store(fingerprint, project string, h *history.History, m met
 	if c.fault.At("cache.write.bytes", fingerprint) == faultinject.KindCorrupt {
 		c.fault.Mangle(data, fingerprint)
 	}
-	err := withRetry(retryAttempts, retryBackoff, c.retry, func() error {
-		switch c.fault.At("cache.write", fingerprint) {
-		case faultinject.KindErr:
-			return &faultinject.Error{Site: "cache.write", Key: fingerprint}
-		case faultinject.KindDelay:
-			c.fault.Sleep(c.ctx)
-		}
-		return c.writeAtomic(fingerprint, data)
-	})
+	err := c.injected("cache.write", fingerprint)
+	if err == nil {
+		err = c.writeAtomic(fingerprint, data)
+	}
 	if err != nil {
 		c.cnt.Add(telemetry.CacheErrors, 1)
 		return
@@ -351,12 +258,25 @@ func (c *diskCache) store(fingerprint, project string, h *history.History, m met
 	c.cnt.Add(telemetry.CacheBytesWritten, int64(len(data)))
 }
 
+// injected applies the fault the injector plans at site for fingerprint:
+// an error fault is returned, a delay fault stalls (bounded by the run's
+// context).
+func (c *diskCache) injected(site, fingerprint string) error {
+	switch c.fault.At(site, fingerprint) {
+	case faultinject.KindErr:
+		return &faultinject.Error{Site: site, Key: fingerprint}
+	case faultinject.KindDelay:
+		c.fault.Sleep(c.ctx)
+	}
+	return nil
+}
+
 // writeAtomic lands data at the entry path via temp file + rename, so
 // concurrent readers see either the old complete entry or the new one,
 // never a torn write. It does not fsync: after a power loss an entry may
-// be empty or torn, but every entry is CRC-sealed, so load quarantines it
-// and the pipeline recomputes it — the cache is an accelerator, never the
-// only copy of a result.
+// be empty or torn, but every entry is CRC-sealed, so load reads it as a
+// miss and the pipeline recomputes it — the cache is an accelerator,
+// never the only copy of a result.
 func (c *diskCache) writeAtomic(fingerprint string, data []byte) error {
 	tmp, err := os.CreateTemp(c.dir, "entry-*.tmp")
 	if err != nil {

@@ -50,7 +50,8 @@ func TestLoadEntryOutlivesItsFile(t *testing.T) {
 
 // loadCounts loads fingerprint fp from a fresh cache after plant has
 // prepared the entry's path, and returns whether it hit and the cache's
-// counters.
+// counters. A failed load leaves the path as plant made it: the
+// recompute's write replaces the entry.
 func loadCounts(t *testing.T, fp string, plant func(path string)) (bool, telemetry.CacheReport) {
 	t.Helper()
 	tel := telemetry.New()
@@ -59,30 +60,31 @@ func loadCounts(t *testing.T, fp string, plant func(path string)) (bool, telemet
 		t.Fatal(err)
 	}
 	plant(cache.path(fp))
+	before, _ := os.ReadFile(cache.path(fp))
 	hit := cache.load(fp) != nil
-	if _, err := os.Stat(cache.path(fp)); !os.IsNotExist(err) {
-		t.Errorf("entry still live after a failed load: %v", err)
+	if after, _ := os.ReadFile(cache.path(fp)); !bytes.Equal(after, before) {
+		t.Error("load changed the entry's file")
 	}
 	return hit, tel.Snapshot().Cache
 }
 
 // TestLoadEmptyFileQuarantined pins that a zero-length entry (a torn
-// write after a power loss) is corruption: quarantined, counted, and a
-// miss.
+// write after a power loss) is corruption: counted as corrupt and as an
+// error, and read as a miss.
 func TestLoadEmptyFileQuarantined(t *testing.T) {
 	hit, got := loadCounts(t, "empty", func(path string) {
 		if err := os.WriteFile(path, nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	})
-	want := telemetry.CacheReport{Misses: 1, Errors: 1, Corrupt: 1, Quarantined: 1}
+	want := telemetry.CacheReport{Misses: 1, Errors: 1, Corrupt: 1}
 	if hit || got != want {
 		t.Fatalf("hit %v, counters %+v; want a miss with %+v", hit, got, want)
 	}
 }
 
 // TestLoadMissingFileIsPlainMiss pins that an absent entry is an
-// ordinary miss: no cache error, no retry, nothing quarantined.
+// ordinary miss: no cache error, nothing corrupt.
 func TestLoadMissingFileIsPlainMiss(t *testing.T) {
 	hit, got := loadCounts(t, "nope", func(string) {})
 	want := telemetry.CacheReport{Misses: 1}
@@ -92,8 +94,8 @@ func TestLoadMissingFileIsPlainMiss(t *testing.T) {
 }
 
 // TestLoadStaleVersionIsPlainMiss pins that a sound entry written under
-// another format version is stale, not corrupt: a plain miss that removes
-// the entry, with no cache error and nothing quarantined.
+// another format version is stale, not corrupt: a plain miss, with no
+// cache error and nothing corrupt.
 func TestLoadStaleVersionIsPlainMiss(t *testing.T) {
 	payload := validEntryBytes(t)
 	binary.LittleEndian.PutUint32(payload[4:8], cacheFormatVersion-1)

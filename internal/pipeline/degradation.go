@@ -18,10 +18,6 @@ const (
 	FailAssemble FailureKind = "assemble"
 	// FailMetrics covers measure computation and validation.
 	FailMetrics FailureKind = "metrics"
-	// FailCache marks cache-layer incidents. Cache faults never fail a
-	// project (the pipeline recomputes), so this kind appears in incident
-	// counters, not in per-project failures.
-	FailCache FailureKind = "cache"
 	// FailTimeout marks a project that exceeded Options.ProjectTimeout and
 	// was quarantined by the watchdog.
 	FailTimeout FailureKind = "timeout"
@@ -65,7 +61,7 @@ type DegradationReport struct {
 	// goroutines finish in the background and their results are discarded.
 	Quarantined []string `json:"quarantined,omitempty"`
 	// CacheIncidents counts non-fatal cache faults (unreadable entries,
-	// failed writes, corrupt entries quarantined for inspection). They
+	// failed writes, corrupt entries read as misses). They
 	// degrade speed, never results.
 	CacheIncidents int `json:"cache_incidents,omitempty"`
 	// Anomalies lists recorded data anomalies of successfully analyzed

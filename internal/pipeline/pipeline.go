@@ -19,8 +19,8 @@
 // project becomes one attributed entry in the run's DegradationReport, and
 // can never crash the process or perturb another project's results. Worker
 // panics are recovered and classified; Options.ProjectTimeout arms a
-// watchdog that abandons and quarantines stuck projects; cache and
-// filesystem hiccups are retried with backoff and degrade to recomputation.
+// watchdog that abandons and quarantines stuck projects; a cache entry
+// that cannot be read or used is a miss, and the project is recomputed.
 // The chaos tests (chaos_test.go) drive all of this with deterministic
 // fault injection (internal/faultinject) and assert the core invariant:
 // projects untouched by faults produce results identical to a fault-free
@@ -110,8 +110,8 @@ type Stats struct {
 	CacheMisses int `json:"cache_misses"`
 	CacheWrites int `json:"cache_writes"`
 	CacheErrors int `json:"cache_errors"`
-	// CacheCorrupt counts entries that failed their integrity check and
-	// were quarantined to <cachedir>/corrupt/ (also included in
+	// CacheCorrupt counts entries that failed their checksum, decode or
+	// fingerprint check and were read as misses (also included in
 	// CacheErrors, preserving its "anything unhealthy" meaning).
 	CacheCorrupt int `json:"cache_corrupt,omitempty"`
 

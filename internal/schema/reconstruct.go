@@ -73,10 +73,14 @@ func AcquireReconstructor() *Reconstructor {
 
 // ReleaseReconstructor clears per-project state (the statement and
 // prototype caches retain parsed source text), restores the generic
-// dialect, and returns the reconstructor to the pool.
+// dialect, and returns the reconstructor to the pool. The unit buffers
+// are zeroed up to their capacity: their texts are views of the last
+// source, which a pooled reconstructor must not keep alive.
 func ReleaseReconstructor(rc *Reconstructor) {
 	rc.SetDialect(sqlddl.Generic)
 	rc.ResetProject()
+	clear(rc.units[:cap(rc.units)])
+	clear(rc.prevUnits[:cap(rc.prevUnits)])
 	reconstructorPool.Put(rc)
 }
 

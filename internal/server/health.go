@@ -7,8 +7,8 @@ package server
 //	degraded → serving, but impaired: stored projects await repair
 //	           (quarantined results the scrubber has not healed yet) or
 //	           the analysis workers are saturated
-//	read-only→ the store refuses durable writes (disk budget exhausted,
-//	           ENOSPC observed, or an operator flip); reads keep serving,
+//	read-only→ the store refuses durable writes (disk budget exhausted
+//	           or ENOSPC observed); reads keep serving,
 //	           write endpoints answer 503 + Retry-After
 //	draining → lame-duck shutdown; every request is answered 503 by the
 //	           drain gate before any handler runs
@@ -61,7 +61,7 @@ func (s *Server) healthState() (HealthState, []string) {
 		reasons = append(reasons, "drain in progress")
 	case s.store.ReadOnly():
 		st = StateReadOnly
-		reasons = append(reasons, "store refuses writes (disk budget, ENOSPC, or operator flip)")
+		reasons = append(reasons, "store refuses writes (disk budget or ENOSPC)")
 	default:
 		if missing := s.store.StatsSnapshot().MissingResults; missing > 0 {
 			st = StateDegraded

@@ -729,12 +729,10 @@ func (s *Server) runFull(ctx context.Context, repo *vcs.Repo, fingerprint string
 
 // commit persists one analyzed submission — result and source snapshot —
 // and folds it into the live aggregates, invalidating the superseded
-// version. An ordinary store flush error is not a request failure: the
-// result still serves from the hot tier and telemetry records the
-// incident. Read-only refusals and disk exhaustion ARE failures — the
-// write did not land durably, so acking it would promise durability the
-// store cannot deliver; the caller answers 503 and the client retries
-// once space recovers.
+// version. Every store error is a request failure: the write did not
+// land, and the store installed nothing, so acking it would promise what
+// a restart could lose. Read-only refusals and disk exhaustion answer 503
+// (the client retries once space recovers), a torn flush 500.
 func (s *Server) commit(repo *vcs.Repo, fingerprint, id string, res *pipeline.CachedResult) error {
 	prevID, err := s.store.Put(store.Entry{
 		ID:          id,
@@ -743,7 +741,7 @@ func (s *Server) commit(repo *vcs.Repo, fingerprint, id string, res *pipeline.Ca
 		Source:      pipeline.EncodeRepo(repo),
 		Result:      pipeline.EncodeResult(res),
 	})
-	if errors.Is(err, store.ErrReadOnly) || store.IsDiskFull(err) {
+	if err != nil {
 		return err
 	}
 	s.aggPut(id, repo.Name, assignedPattern(res.Measures, s.scheme), prevID)
@@ -766,7 +764,8 @@ func (s *Server) aggPut(id, name string, pat core.Pattern, prevID string) {
 	}
 }
 
-// writeSubmitError maps an analysis failure to its status code and body.
+// writeSubmitError maps a failed analysis or store mutation to its
+// status code and body.
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	if errors.Is(err, errSaturated) {
 		w.Header().Set("Retry-After", s.retryAfterSeconds())
@@ -984,8 +983,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	deleted, derr := s.store.Delete(id)
-	if errors.Is(derr, store.ErrReadOnly) {
-		s.writeReadOnly(w)
+	if derr != nil {
+		// The tombstone did not land and the entry stays live: 503 when
+		// the disk is full or read-only, 500 otherwise — never "deleted".
+		s.writeSubmitError(w, derr)
 		return
 	}
 	if !deleted {

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"schemaevo/internal/faultinject"
 	"schemaevo/internal/server"
 	"schemaevo/internal/telemetry"
 	"schemaevo/internal/vcs"
@@ -473,5 +474,84 @@ func TestAggregatesSurviveRestart(t *testing.T) {
 	}
 	if !bytes.Equal(patternsBefore, patternsAfter) || patternsTag != patternsTag2 {
 		t.Errorf("corpus patterns drifted across restart (ETag %s → %s)\n--- before ---\n%s\n--- after ---\n%s", patternsTag, patternsTag2, patternsBefore, patternsAfter)
+	}
+}
+
+// submitID posts r and returns the ID of the acked submission.
+func submitID(t *testing.T, baseURL string, r *vcs.Repo) string {
+	t.Helper()
+	status, _, body := post(t, baseURL, r)
+	if status != http.StatusOK {
+		t.Fatalf("submit: status %d, body %s", status, body)
+	}
+	var wire struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &wire); err != nil {
+		t.Fatal(err)
+	}
+	return wire.ID
+}
+
+// TestTornSubmitIsNotAcked: a submission whose store flush tears did not
+// land, so it answers 5xx and its ID is not served — not even from a
+// cache while the process lives.
+func TestTornSubmitIsNotAcked(t *testing.T) {
+	_, mem := newService(t, server.Config{})
+	id := submitID(t, mem.URL, submitRepo())
+
+	_, hs := newService(t, server.Config{
+		StoreDir: t.TempDir(),
+		Fault:    siteInjector("store.flush", faultinject.KindErr),
+	})
+	for attempt := 0; attempt < 2; attempt++ {
+		if status, _, body := post(t, hs.URL, submitRepo()); status < 500 {
+			t.Fatalf("torn submit %d: status %d, body %s; want 5xx", attempt, status, body)
+		}
+		if status, _, body := do(t, http.MethodGet, hs.URL+"/v1/projects/"+id, nil); status != http.StatusNotFound {
+			t.Fatalf("GET after torn submit %d: status %d, body %s; want 404", attempt, status, body)
+		}
+	}
+}
+
+// TestFailedDeleteIsNotAcked: a DELETE whose tombstone did not land
+// answers 503 with Retry-After on a full disk and 500 on a torn flush,
+// never "deleted"; the project keeps serving, then and after a restart.
+func TestFailedDeleteIsNotAcked(t *testing.T) {
+	dir := t.TempDir()
+	first, hs := newService(t, server.Config{StoreDir: dir})
+	id := submitID(t, hs.URL, submitRepo())
+	hs.Close()
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		site   string
+		status int
+	}{
+		{"store.flush", http.StatusInternalServerError},
+		{"store.diskfull", http.StatusServiceUnavailable},
+	} {
+		srv, hs := newService(t, server.Config{StoreDir: dir, Fault: siteInjector(tc.site, faultinject.KindErr)})
+		status, hdr, body := do(t, http.MethodDelete, hs.URL+"/v1/projects/"+id, nil)
+		if status != tc.status {
+			t.Fatalf("%s: DELETE status %d, body %s; want %d", tc.site, status, body, tc.status)
+		}
+		if status == http.StatusServiceUnavailable && hdr.Get("Retry-After") == "" {
+			t.Fatalf("%s: 503 without Retry-After", tc.site)
+		}
+		if status, _, body := do(t, http.MethodGet, hs.URL+"/v1/projects/"+id, nil); status != http.StatusOK {
+			t.Fatalf("%s: GET after failed DELETE: status %d, body %s; want 200", tc.site, status, body)
+		}
+		hs.Close()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, hs = newService(t, server.Config{StoreDir: dir})
+	if status, _, body := do(t, http.MethodGet, hs.URL+"/v1/projects/"+id, nil); status != http.StatusOK {
+		t.Fatalf("GET after restart: status %d, body %s; want 200", status, body)
 	}
 }

@@ -34,9 +34,14 @@ func TestTornFlushRecovery(t *testing.T) {
 		e := entry(i, 1)
 		if _, err := s.Put(e); err != nil {
 			torn[e.ID] = true
-			// A torn flush is not data loss while the process lives: the
-			// hot tier still has the result.
-			wantGet(t, s, e.ID, "hot", e.Result)
+			// A torn flush is a refused write: no tier serves it, so the
+			// process never answers with what a restart could lose.
+			if _, _, ok := s.Get(e.ID); ok {
+				t.Fatalf("torn entry %s served by Get", e.ID)
+			}
+			if _, ok := s.Source(e.ID); ok {
+				t.Fatalf("torn entry %s served by Source", e.ID)
+			}
 		}
 	}
 	if len(torn) == 0 || len(torn) == 30 {
@@ -496,5 +501,94 @@ func TestRecoveryScaleMixedDamage(t *testing.T) {
 		if src, ok := s2.Source(id); ok && !bytes.Equal(src, want.Source) {
 			t.Fatalf("%s served wrong source", name)
 		}
+	}
+}
+
+// TestFailedTombstoneKeepsEntryLive pins that a DELETE whose tombstone
+// never landed did not happen: Delete reports the error, and the entry
+// stays live in the index, the name map and the hot tier, with no commit
+// fired — both in-process and after the next reopen.
+func TestFailedTombstoneKeepsEntryLive(t *testing.T) {
+	for _, site := range []string{"store.diskfull", "store.flush"} {
+		t.Run(site, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(Config{Dir: dir, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := entry(0, 1)
+			mustPut(t, s, e)
+			s.Close()
+
+			var log commitLog
+			s, err = Open(Config{Dir: dir, Shards: 2, OnCommit: log.record, Fault: faultinject.New(faultinject.Config{
+				Seed: 1, Rate: 1,
+				Sites: []string{site},
+				Kinds: []faultinject.Kind{faultinject.KindErr},
+			})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			deleted, err := s.Delete(e.ID)
+			if err == nil || deleted {
+				t.Fatalf("Delete with a failed tombstone = %v, %v; want false and the flush error", deleted, err)
+			}
+			if id, ok := s.LatestID(e.Name); !ok || id != e.ID {
+				t.Fatalf("LatestID after a failed delete = %q, %v; want %q live", id, ok, e.ID)
+			}
+			wantGet(t, s, e.ID, "disk", e.Result)
+			wantGet(t, s, e.ID, "hot", e.Result)
+			if calls := log.take(); len(calls) != 0 {
+				t.Fatalf("OnCommit fired for %v after a failed delete", calls)
+			}
+			s.Close()
+
+			s2, err := Open(Config{Dir: dir, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if id, ok := s2.LatestID(e.Name); !ok || id != e.ID {
+				t.Fatalf("LatestID after reopen = %q, %v; want %q live", id, ok, e.ID)
+			}
+			wantGet(t, s2, e.ID, "disk", e.Result)
+		})
+	}
+}
+
+// TestFailedPutKeepsPreviousVersion pins that a refused overwrite or
+// result write-back installs nothing: the previous version stays the
+// live one with its own bytes, and no commit fires.
+func TestFailedPutKeepsPreviousVersion(t *testing.T) {
+	var log commitLog
+	s, err := Open(Config{Dir: t.TempDir(), Shards: 2, OnCommit: log.record})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	v1, v2 := entry(0, 1), entry(0, 2)
+	mustPut(t, s, v1)
+	log.take()
+
+	s.fault = faultinject.New(faultinject.Config{
+		Seed: 1, Rate: 1,
+		Sites: []string{"store.flush"},
+		Kinds: []faultinject.Kind{faultinject.KindErr},
+	})
+	if prev, err := s.Put(v2); err == nil || prev != "" {
+		t.Fatalf("torn overwrite = %q, %v; want no superseded ID and the flush error", prev, err)
+	}
+	if err := s.PutResult(v1.ID, []byte("recomputed")); err == nil {
+		t.Fatal("torn PutResult reported success")
+	}
+	if id, ok := s.LatestID(v1.Name); !ok || id != v1.ID {
+		t.Fatalf("LatestID after a torn overwrite = %q, %v; want %q", id, ok, v1.ID)
+	}
+	wantGet(t, s, v1.ID, "hot", v1.Result)
+	if _, _, ok := s.Get(v2.ID); ok {
+		t.Fatal("torn overwrite served by Get")
+	}
+	if calls := log.take(); len(calls) != 0 {
+		t.Fatalf("OnCommit fired for %v after refused writes", calls)
 	}
 }

@@ -243,14 +243,12 @@ func (s *Store) checkDiskBudget(cfg ScrubConfig, rep *ScrubReport) {
 	}
 	rep.FreeBytes = free
 	s.tel.SetGauge("store.free_bytes", free)
-	s.romu.Lock()
 	switch {
 	case free < cfg.DiskFloorBytes:
-		s.enterReadOnlyLocked(roDisk)
+		s.setReadOnly(true)
 	case free >= 2*cfg.DiskFloorBytes:
-		s.clearReadOnlyLocked(roDisk)
+		s.setReadOnly(false)
 	}
-	s.romu.Unlock()
 }
 
 // StartScrubber launches the background scrub loop: one ScrubOnce pass

@@ -263,7 +263,13 @@ func TestReadOnlyModeGatesWrites(t *testing.T) {
 	e := entry(0, 1)
 	mustPut(t, s, e)
 
-	s.SetReadOnly(true)
+	free := int64(0)
+	cfg := ScrubConfig{
+		Pace:           -1,
+		DiskFloorBytes: 1 << 20,
+		FreeSpace:      func(string) (int64, error) { return free, nil },
+	}
+	s.ScrubOnce(context.Background(), cfg)
 	if _, err := s.Put(entry(1, 1)); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Put in read-only mode: %v, want ErrReadOnly", err)
 	}
@@ -281,7 +287,8 @@ func TestReadOnlyModeGatesWrites(t *testing.T) {
 		t.Fatalf("stats = readOnly %v, events %d", st.ReadOnly, st.ReadOnlyEvents)
 	}
 
-	s.SetReadOnly(false)
+	free = 2 << 20
+	s.ScrubOnce(context.Background(), cfg)
 	if _, err := s.Put(entry(1, 1)); err != nil {
 		t.Fatalf("Put after clearing read-only: %v", err)
 	}
@@ -348,6 +355,53 @@ func TestDiskFullAppendDegradesToReadOnly(t *testing.T) {
 	for i := 0; i < acked; i++ {
 		e := entry(i, 1)
 		wantGet(t, s2, e.ID, "disk", e.Result)
+	}
+}
+
+// TestConcurrentDiskFullEntersReadOnlyOnce races writers into ENOSPC:
+// each refused write installs nothing, the store enters read-only once
+// however many flushes fail together, and the watchdog's recovery is the
+// way out. Run it under -race -count=10.
+func TestConcurrentDiskFullEntersReadOnlyOnce(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir(), Shards: 4, Fault: faultinject.New(faultinject.Config{
+		Seed: 3, Rate: 1,
+		Sites: []string{"store.diskfull"},
+		Kinds: []faultinject.Kind{faultinject.KindErr},
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const writers = 8
+	errs := make(chan error, writers)
+	for i := 0; i < writers; i++ {
+		go func(i int) {
+			_, err := s.Put(entry(i, 1))
+			errs <- err
+		}(i)
+	}
+	for i := 0; i < writers; i++ {
+		if err := <-errs; !IsDiskFull(err) && !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("Put on a full disk: %v, want ENOSPC or ErrReadOnly", err)
+		}
+	}
+	if st := s.StatsSnapshot(); !st.ReadOnly || st.ReadOnlyEvents != 1 || s.Len() != 0 {
+		t.Fatalf("after racing ENOSPC: readOnly %v, events %d, live %d; want true, 1, 0", st.ReadOnly, st.ReadOnlyEvents, s.Len())
+	}
+
+	cfg := ScrubConfig{
+		Pace:           -1,
+		DiskFloorBytes: 1 << 20,
+		FreeSpace:      func(string) (int64, error) { return 2 << 20, nil },
+	}
+	if rep := s.ScrubOnce(context.Background(), cfg); rep.ReadOnly || s.ReadOnly() {
+		t.Fatal("the watchdog's recovery must leave an ENOSPC-entered read-only mode")
+	}
+	if _, err := s.Put(entry(0, 1)); !IsDiskFull(err) {
+		t.Fatalf("Put after recovery on a still-full disk: %v, want ENOSPC", err)
+	}
+	if st := s.StatsSnapshot(); st.ReadOnlyEvents != 2 {
+		t.Fatalf("ReadOnlyEvents = %d after a second ENOSPC, want 2", st.ReadOnlyEvents)
 	}
 }
 
@@ -432,12 +486,6 @@ func TestDiskBudgetWatchdog(t *testing.T) {
 	}
 	if _, err := s.Put(entry(1, 1)); err != nil {
 		t.Fatalf("Put after recovery: %v", err)
-	}
-
-	// A manual flip is operator intent: the watchdog must not clear it.
-	s.SetReadOnly(true)
-	if rep = s.ScrubOnce(context.Background(), cfg); !rep.ReadOnly {
-		t.Fatal("watchdog overrode a manual read-only flip")
 	}
 }
 

@@ -46,8 +46,8 @@ import (
 )
 
 // ErrReadOnly is returned by mutating operations while the store is in
-// read-only mode: the disk-budget watchdog found free space below its
-// floor, a flush hit ENOSPC, or an operator flipped the mode manually.
+// read-only mode: a flush hit ENOSPC, or the disk-budget watchdog found
+// free space below its floor. Only the watchdog's recovery leaves it.
 // Reads keep serving; callers should answer retryable unavailability
 // (HTTP 503) rather than treating this as data loss.
 var ErrReadOnly = errors.New("store: read-only mode")
@@ -160,12 +160,9 @@ type Store struct {
 	nmu    sync.Mutex
 	byName map[string]nameEntry // live project name -> ID + sequence
 
-	// Read-only mode: a mirrored atomic flag for lock-free checks on the
-	// mutation paths, with the cause (manual vs disk-budget) guarded by
-	// romu so the watchdog never overrides an operator's manual flip.
-	romu     sync.Mutex
+	// Read-only mode: entered on ENOSPC or by the disk-budget watchdog,
+	// left only by the watchdog's recovery.
 	readOnly atomic.Bool
-	roCause  roCause
 
 	// Background scrubber lifecycle (StartScrubber/StopScrubber).
 	smu       sync.Mutex
@@ -173,64 +170,27 @@ type Store struct {
 	scrubDone chan struct{}
 }
 
-// roCause records why the store is read-only, so only the matching
-// mechanism clears it.
-type roCause int32
-
-const (
-	roNone   roCause = iota
-	roManual         // SetReadOnly(true)
-	roDisk           // ENOSPC on a flush, or the disk-budget watchdog
-)
-
 // ReadOnly reports whether the store is currently refusing mutations.
 func (s *Store) ReadOnly() bool { return s.readOnly.Load() }
 
-// SetReadOnly flips read-only mode manually. Clearing also clears a
-// disk-triggered state (the operator has presumably freed space).
-func (s *Store) SetReadOnly(on bool) {
-	s.romu.Lock()
-	defer s.romu.Unlock()
+// setReadOnly enters or leaves read-only mode, counting each entry.
+func (s *Store) setReadOnly(on bool) {
+	if !s.readOnly.CompareAndSwap(!on, on) {
+		return
+	}
 	if on {
-		s.enterReadOnlyLocked(roManual)
+		s.cnt.Add(telemetry.StoreReadOnlyEvents, 1)
+		s.tel.SetGauge("store.read_only", 1)
 	} else {
-		s.clearReadOnlyLocked(roNone)
+		s.tel.SetGauge("store.read_only", 0)
 	}
-}
-
-func (s *Store) enterReadOnly(c roCause) {
-	s.romu.Lock()
-	s.enterReadOnlyLocked(c)
-	s.romu.Unlock()
-}
-
-func (s *Store) enterReadOnlyLocked(c roCause) {
-	if s.readOnly.Load() {
-		return
-	}
-	s.readOnly.Store(true)
-	s.roCause = c
-	s.cnt.Add(telemetry.StoreReadOnlyEvents, 1)
-	s.tel.SetGauge("store.read_only", 1)
-}
-
-// clearReadOnlyLocked leaves read-only mode. A cause of roNone forces the
-// clear; a specific cause only clears a matching state, so the disk
-// watchdog's recovery never overrides a manual flip.
-func (s *Store) clearReadOnlyLocked(c roCause) {
-	if !s.readOnly.Load() || (c != roNone && s.roCause != c) {
-		return
-	}
-	s.readOnly.Store(false)
-	s.roCause = roNone
-	s.tel.SetGauge("store.read_only", 0)
 }
 
 // diskFull records an out-of-space incident and degrades to read-only
 // instead of failing every subsequent write (or crashing the process).
 func (s *Store) diskFull() {
 	s.cnt.Add(telemetry.StoreDiskFullEvents, 1)
-	s.enterReadOnly(roDisk)
+	s.setReadOnly(true)
 }
 
 // nameEntry is the name index's value: the live ID and the sequence of
@@ -568,12 +528,11 @@ func (s *Store) quarantineLocked(sh *shard, r *ref) {
 
 // Put stores one project: the source snapshot and (when known) the
 // result, superseding any live entry with the same name. It returns the
-// superseded entry's ID ("" when none, or unchanged). A flush error is
-// returned after the in-memory state is updated — the hot tier still
-// serves the result; the disk records are quarantined on next read. An
-// out-of-space flush additionally wraps syscall.ENOSPC (see IsDiskFull):
-// nothing durable landed, so callers must not acknowledge the write. In
-// read-only mode Put refuses up front with ErrReadOnly, mutating nothing.
+// superseded entry's ID ("" when none, or unchanged). A failed flush
+// installs nothing: no tier serves the entry and the previous version
+// stays live, so callers must not acknowledge the write. An out-of-space
+// flush wraps syscall.ENOSPC (see IsDiskFull). In read-only mode Put
+// refuses up front with ErrReadOnly.
 func (s *Store) Put(e Entry) (prevID string, err error) {
 	if s.readOnly.Load() {
 		return "", ErrReadOnly
@@ -582,9 +541,6 @@ func (s *Store) Put(e Entry) (prevID string, err error) {
 	seqSrc, seqRes := end-2, end-1
 	sh := s.shardFor(e.ID)
 	sh.mu.Lock()
-	if old := sh.byID[e.ID]; old != nil {
-		s.retireLocked(sh, old)
-	}
 	m := &meta{id: e.ID, name: e.Name, fp: e.Fingerprint}
 	if sh.file == nil {
 		m.srcMem = e.Source
@@ -610,8 +566,14 @@ func (s *Store) Put(e Entry) (prevID string, err error) {
 				seq: seqRes,
 			}
 		}
+		if err = s.flushLocked(sh, e.ID, buf); err != nil {
+			sh.mu.Unlock()
+			return "", err
+		}
 		sh.live += int64(len(buf))
-		err = s.flushLocked(sh, e.ID, buf)
+	}
+	if old := sh.byID[e.ID]; old != nil {
+		s.retireLocked(sh, old)
 	}
 	sh.byID[e.ID] = m
 	s.maybeCompactLocked(sh)
@@ -636,12 +598,12 @@ func (s *Store) Put(e Entry) (prevID string, err error) {
 			s.onCommit(prevID, seqRes)
 		}
 	}
-	return prevID, err
+	return prevID, nil
 }
 
 // PutResult attaches (or refreshes) the analysis result of a live entry —
 // the write-back after an on-demand re-analysis of an evicted or
-// quarantined result.
+// quarantined result. Like Put, a failed flush installs nothing.
 func (s *Store) PutResult(id string, result []byte) error {
 	if s.readOnly.Load() {
 		return ErrReadOnly
@@ -654,20 +616,23 @@ func (s *Store) PutResult(id string, result []byte) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("store: no live entry %s", id)
 	}
-	var err error
 	if sh.file != nil {
-		if m.res.ok() {
-			sh.garbage += m.res.total
-			sh.live -= m.res.total
-		}
 		buf := appendRecord(make([]byte, 0, recordSize(m.id, m.name, m.fp, len(result))), recResult, seq, m.id, m.name, m.fp, result)
-		m.res = ref{
+		res := ref{
 			start: sh.size, total: int64(len(buf)),
 			bodyOff: sh.size + int64(len(buf)) - 4 - int64(len(result)), bodyLen: int64(len(result)),
 			seq: seq,
 		}
+		if err := s.flushLocked(sh, id, buf); err != nil {
+			sh.mu.Unlock()
+			return err
+		}
+		if m.res.ok() {
+			sh.garbage += m.res.total
+			sh.live -= m.res.total
+		}
+		m.res = res
 		sh.live += int64(len(buf))
-		err = s.flushLocked(sh, id, buf)
 		s.maybeCompactLocked(sh)
 	}
 	sh.mu.Unlock()
@@ -675,11 +640,13 @@ func (s *Store) PutResult(id string, result []byte) error {
 	if s.onCommit != nil {
 		s.onCommit(id, seq)
 	}
-	return err
+	return nil
 }
 
 // Delete removes a live entry: a tombstone record supersedes it on disk
-// (so recovery agrees), and every tier forgets it immediately.
+// (so recovery agrees), and every tier forgets it immediately. A failed
+// tombstone flush leaves the entry live in every tier and returns the
+// error: the delete did not happen.
 func (s *Store) Delete(id string) (bool, error) {
 	if s.readOnly.Load() {
 		return false, ErrReadOnly
@@ -692,9 +659,12 @@ func (s *Store) Delete(id string) (bool, error) {
 		sh.mu.Unlock()
 		return false, nil
 	}
-	var err error
 	if sh.file != nil {
 		buf := appendRecord(make([]byte, 0, recordSize(m.id, m.name, m.fp, 0)), recTombstone, seq, m.id, m.name, m.fp, nil)
+		if err := s.flushLocked(sh, id, buf); err != nil {
+			sh.mu.Unlock()
+			return false, err
+		}
 		// The tombstone is live, guarded state, not garbage-in-waiting: the
 		// deleted name's stale records may survive in OTHER shards (each
 		// version's ID shards independently), and only this record's higher
@@ -706,7 +676,6 @@ func (s *Store) Delete(id string) (bool, error) {
 		}
 		sh.tombs[m.name] = tomb{id: m.id, name: m.name, fp: m.fp, seq: seq, bytes: int64(len(buf))}
 		sh.live += int64(len(buf))
-		err = s.flushLocked(sh, id, buf)
 	}
 	s.retireLocked(sh, m)
 	delete(sh.byID, id)
@@ -722,7 +691,7 @@ func (s *Store) Delete(id string) (bool, error) {
 	if s.onCommit != nil {
 		s.onCommit(id, seq)
 	}
-	return true, err
+	return true, nil
 }
 
 // invalidate drops a superseded entry from the index and the hot tier
@@ -776,11 +745,13 @@ func (s *Store) Each(fn func(id, name string, result []byte)) {
 }
 
 // flushLocked writes buf at the shard's append offset, honoring the
-// "store.flush" fault site: KindErr tears the write (half the buffer
+// "store.flush" fault site: KindErr tears the write (part of the buffer
 // lands, then an error), KindCorrupt mangles the buffer before a
 // successful write (latent bit-rot, caught by record CRCs), KindDelay
 // stalls. The append offset always advances by the bytes actually
-// written, so later records land where the index says they do.
+// written, so later records land where the index says they do. On a
+// failed flush those bytes count as garbage, and the caller installs
+// nothing: the write is in the state a crash mid-write leaves.
 func (s *Store) flushLocked(sh *shard, key string, buf []byte) error {
 	// "store.slowdisk" simulates a degraded device: the write eventually
 	// succeeds, it just stalls first.
@@ -808,6 +779,7 @@ func (s *Store) flushLocked(sh *shard, key string, buf []byte) error {
 		}
 		n, _ := sh.file.WriteAt(buf[:cut], sh.size)
 		sh.size += int64(n)
+		sh.garbage += int64(n)
 		s.cnt.Add(telemetry.StoreFlushErrors, 1)
 		return &faultinject.Error{Site: "store.flush", Key: key}
 	case faultinject.KindCorrupt:
@@ -820,6 +792,7 @@ func (s *Store) flushLocked(sh *shard, key string, buf []byte) error {
 	s.cnt.Add(telemetry.StoreAppends, 1)
 	s.cnt.Add(telemetry.StoreBytesWritten, int64(len(buf)))
 	if err != nil {
+		sh.garbage += int64(n)
 		s.cnt.Add(telemetry.StoreFlushErrors, 1)
 		if IsDiskFull(err) {
 			s.diskFull()

@@ -14,13 +14,9 @@ const (
 	// CacheErrors counts unhealthy cache incidents: unreadable entries,
 	// failed writes, and every corrupt entry.
 	CacheErrors
-	// CacheCorrupt counts entries that failed their integrity check. Each
-	// is moved to the corrupt/ directory as it is counted, so the one
-	// counter feeds both the corrupt and the quarantined report fields.
+	// CacheCorrupt counts entries that failed their checksum, decode or
+	// fingerprint check and were read as misses.
 	CacheCorrupt
-	CacheRetries
-	// CacheReaped counts quarantined files deleted by the retention cap.
-	CacheReaped
 	CacheBytesRead
 	CacheBytesWritten
 
@@ -75,57 +71,49 @@ const (
 	numCounters
 )
 
-// reportField locates one int64 field of a Report.
-type reportField func(*Report) *int64
-
 // counterTable maps each counter to its name (the JSON path of its report
-// field) and to the Report field(s) Snapshot copies it into.
+// field) and to the Report field Snapshot copies it into.
 var counterTable = [numCounters]struct {
-	name   string
-	fields []reportField
+	name  string
+	field func(*Report) *int64
 }{
-	CacheHits:         {"cache.hits", []reportField{func(r *Report) *int64 { return &r.Cache.Hits }}},
-	CacheMisses:       {"cache.misses", []reportField{func(r *Report) *int64 { return &r.Cache.Misses }}},
-	CacheWrites:       {"cache.writes", []reportField{func(r *Report) *int64 { return &r.Cache.Writes }}},
-	CacheErrors:       {"cache.errors", []reportField{func(r *Report) *int64 { return &r.Cache.Errors }}},
-	CacheRetries:      {"cache.retries", []reportField{func(r *Report) *int64 { return &r.Cache.Retries }}},
-	CacheReaped:       {"cache.reaped", []reportField{func(r *Report) *int64 { return &r.Cache.Reaped }}},
-	CacheBytesRead:    {"cache.bytes_read", []reportField{func(r *Report) *int64 { return &r.Cache.BytesRead }}},
-	CacheBytesWritten: {"cache.bytes_written", []reportField{func(r *Report) *int64 { return &r.Cache.BytesWritten }}},
-	CacheCorrupt: {"cache.corrupt", []reportField{
-		func(r *Report) *int64 { return &r.Cache.Corrupt },
-		func(r *Report) *int64 { return &r.Cache.Quarantined },
-	}},
+	CacheHits:         {"cache.hits", func(r *Report) *int64 { return &r.Cache.Hits }},
+	CacheMisses:       {"cache.misses", func(r *Report) *int64 { return &r.Cache.Misses }},
+	CacheWrites:       {"cache.writes", func(r *Report) *int64 { return &r.Cache.Writes }},
+	CacheErrors:       {"cache.errors", func(r *Report) *int64 { return &r.Cache.Errors }},
+	CacheBytesRead:    {"cache.bytes_read", func(r *Report) *int64 { return &r.Cache.BytesRead }},
+	CacheBytesWritten: {"cache.bytes_written", func(r *Report) *int64 { return &r.Cache.BytesWritten }},
+	CacheCorrupt:      {"cache.corrupt", func(r *Report) *int64 { return &r.Cache.Corrupt }},
 
-	StoreHotHits:         {"store.hot_hits", []reportField{func(r *Report) *int64 { return &r.Store.HotHits }}},
-	StoreHotMisses:       {"store.hot_misses", []reportField{func(r *Report) *int64 { return &r.Store.HotMisses }}},
-	StoreDiskHits:        {"store.disk_hits", []reportField{func(r *Report) *int64 { return &r.Store.DiskHits }}},
-	StoreDiskMisses:      {"store.disk_misses", []reportField{func(r *Report) *int64 { return &r.Store.DiskMisses }}},
-	StoreAppends:         {"store.appends", []reportField{func(r *Report) *int64 { return &r.Store.Appends }}},
-	StoreFlushes:         {"store.flushes", []reportField{func(r *Report) *int64 { return &r.Store.Flushes }}},
-	StoreFlushErrors:     {"store.flush_errors", []reportField{func(r *Report) *int64 { return &r.Store.FlushErrors }}},
-	StoreCompactions:     {"store.compactions", []reportField{func(r *Report) *int64 { return &r.Store.Compactions }}},
-	StoreQuarantined:     {"store.quarantined", []reportField{func(r *Report) *int64 { return &r.Store.Quarantined }}},
-	StoreEvictions:       {"store.evictions", []reportField{func(r *Report) *int64 { return &r.Store.Evictions }}},
-	StoreReanalyses:      {"store.reanalyses", []reportField{func(r *Report) *int64 { return &r.Store.Reanalyses }}},
-	StoreScrubPasses:     {"store.scrub_passes", []reportField{func(r *Report) *int64 { return &r.Store.ScrubPasses }}},
-	StoreScrubbedRecords: {"store.scrubbed_records", []reportField{func(r *Report) *int64 { return &r.Store.ScrubbedRecords }}},
-	StoreRepairs:         {"store.repairs", []reportField{func(r *Report) *int64 { return &r.Store.Repairs }}},
-	StoreDiskFullEvents:  {"store.disk_full_events", []reportField{func(r *Report) *int64 { return &r.Store.DiskFullEvents }}},
-	StoreReadOnlyEvents:  {"store.read_only_events", []reportField{func(r *Report) *int64 { return &r.Store.ReadOnlyEvents }}},
-	StoreBytesRead:       {"store.bytes_read", []reportField{func(r *Report) *int64 { return &r.Store.BytesRead }}},
-	StoreBytesWritten:    {"store.bytes_written", []reportField{func(r *Report) *int64 { return &r.Store.BytesWritten }}},
+	StoreHotHits:         {"store.hot_hits", func(r *Report) *int64 { return &r.Store.HotHits }},
+	StoreHotMisses:       {"store.hot_misses", func(r *Report) *int64 { return &r.Store.HotMisses }},
+	StoreDiskHits:        {"store.disk_hits", func(r *Report) *int64 { return &r.Store.DiskHits }},
+	StoreDiskMisses:      {"store.disk_misses", func(r *Report) *int64 { return &r.Store.DiskMisses }},
+	StoreAppends:         {"store.appends", func(r *Report) *int64 { return &r.Store.Appends }},
+	StoreFlushes:         {"store.flushes", func(r *Report) *int64 { return &r.Store.Flushes }},
+	StoreFlushErrors:     {"store.flush_errors", func(r *Report) *int64 { return &r.Store.FlushErrors }},
+	StoreCompactions:     {"store.compactions", func(r *Report) *int64 { return &r.Store.Compactions }},
+	StoreQuarantined:     {"store.quarantined", func(r *Report) *int64 { return &r.Store.Quarantined }},
+	StoreEvictions:       {"store.evictions", func(r *Report) *int64 { return &r.Store.Evictions }},
+	StoreReanalyses:      {"store.reanalyses", func(r *Report) *int64 { return &r.Store.Reanalyses }},
+	StoreScrubPasses:     {"store.scrub_passes", func(r *Report) *int64 { return &r.Store.ScrubPasses }},
+	StoreScrubbedRecords: {"store.scrubbed_records", func(r *Report) *int64 { return &r.Store.ScrubbedRecords }},
+	StoreRepairs:         {"store.repairs", func(r *Report) *int64 { return &r.Store.Repairs }},
+	StoreDiskFullEvents:  {"store.disk_full_events", func(r *Report) *int64 { return &r.Store.DiskFullEvents }},
+	StoreReadOnlyEvents:  {"store.read_only_events", func(r *Report) *int64 { return &r.Store.ReadOnlyEvents }},
+	StoreBytesRead:       {"store.bytes_read", func(r *Report) *int64 { return &r.Store.BytesRead }},
+	StoreBytesWritten:    {"store.bytes_written", func(r *Report) *int64 { return &r.Store.BytesWritten }},
 
-	RenderHits:          {"render.hits", []reportField{func(r *Report) *int64 { return &r.Render.Hits }}},
-	RenderMisses:        {"render.misses", []reportField{func(r *Report) *int64 { return &r.Render.Misses }}},
-	RenderWrites:        {"render.writes", []reportField{func(r *Report) *int64 { return &r.Render.Writes }}},
-	RenderInvalidations: {"render.invalidations", []reportField{func(r *Report) *int64 { return &r.Render.Invalidations }}},
-	RenderEvictions:     {"render.evictions", []reportField{func(r *Report) *int64 { return &r.Render.Evictions }}},
-	RenderNotModified:   {"render.not_modified", []reportField{func(r *Report) *int64 { return &r.Render.NotModified }}},
-	RenderBytesServed:   {"render.bytes_served", []reportField{func(r *Report) *int64 { return &r.Render.BytesServed }}},
-	RenderBytesWritten:  {"render.bytes_written", []reportField{func(r *Report) *int64 { return &r.Render.BytesWritten }}},
+	RenderHits:          {"render.hits", func(r *Report) *int64 { return &r.Render.Hits }},
+	RenderMisses:        {"render.misses", func(r *Report) *int64 { return &r.Render.Misses }},
+	RenderWrites:        {"render.writes", func(r *Report) *int64 { return &r.Render.Writes }},
+	RenderInvalidations: {"render.invalidations", func(r *Report) *int64 { return &r.Render.Invalidations }},
+	RenderEvictions:     {"render.evictions", func(r *Report) *int64 { return &r.Render.Evictions }},
+	RenderNotModified:   {"render.not_modified", func(r *Report) *int64 { return &r.Render.NotModified }},
+	RenderBytesServed:   {"render.bytes_served", func(r *Report) *int64 { return &r.Render.BytesServed }},
+	RenderBytesWritten:  {"render.bytes_written", func(r *Report) *int64 { return &r.Render.BytesWritten }},
 
-	SpansDropped: {"spans_dropped", []reportField{func(r *Report) *int64 { return &r.SpansDropped }}},
+	SpansDropped: {"spans_dropped", func(r *Report) *int64 { return &r.SpansDropped }},
 }
 
 // String returns the counter's name, its field's JSON path in the report.

@@ -34,31 +34,20 @@ func reportInts(r *Report) map[*int64]string {
 }
 
 // TestCounterTableSlots checks the table against the Report type: every
-// int64 report field is fed by exactly one counter, and every counter
-// feeds exactly one field, except CacheCorrupt, which feeds the corrupt
-// and quarantined fields because the two events always coincide.
+// int64 report field is fed by exactly one counter.
 func TestCounterTableSlots(t *testing.T) {
 	var r Report
 	fields := reportInts(&r)
 	owner := map[*int64]Counter{}
 	for k := Counter(0); k < numCounters; k++ {
-		want := 1
-		if k == CacheCorrupt {
-			want = 2
+		p := counterTable[k].field(&r)
+		if _, ok := fields[p]; !ok {
+			t.Errorf("%v feeds a field outside the counter blocks", k)
 		}
-		if got := len(counterTable[k].fields); got != want {
-			t.Errorf("%v feeds %d report fields, want %d", k, got, want)
+		if prev, ok := owner[p]; ok {
+			t.Errorf("%v and %v feed the same field %s", prev, k, fields[p])
 		}
-		for _, f := range counterTable[k].fields {
-			p := f(&r)
-			if _, ok := fields[p]; !ok {
-				t.Errorf("%v feeds a field outside the counter blocks", k)
-			}
-			if prev, ok := owner[p]; ok {
-				t.Errorf("%v and %v feed the same field %s", prev, k, fields[p])
-			}
-			owner[p] = k
-		}
+		owner[p] = k
 	}
 	for p, name := range fields {
 		if _, ok := owner[p]; !ok {
@@ -99,7 +88,7 @@ func flatReport(t *testing.T, r *Report) map[string]float64 {
 
 // TestCounterMovesOwnFields adds one to each counter of a fresh collector
 // and checks, on the marshaled report, that exactly the counter's own
-// JSON field moved, by one — plus cache.quarantined for cache.corrupt.
+// JSON field moved, by one.
 func TestCounterMovesOwnFields(t *testing.T) {
 	base := flatReport(t, New().Snapshot())
 	for k := Counter(0); k < numCounters; k++ {
@@ -113,9 +102,6 @@ func TestCounterMovesOwnFields(t *testing.T) {
 		}
 		sort.Strings(moved)
 		want := []string{k.String() + "=1"}
-		if k == CacheCorrupt {
-			want = []string{"cache.corrupt=1", "cache.quarantined=1"}
-		}
 		if fmt.Sprint(moved) != fmt.Sprint(want) {
 			t.Errorf("Add(%v, 1) moved %v, want %v", k, moved, want)
 		}

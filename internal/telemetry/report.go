@@ -12,7 +12,7 @@ import (
 // ReportSchemaVersion identifies the report layout; consumers should
 // reject versions they do not understand. Bump it whenever a field is
 // added, removed, or changes meaning.
-const ReportSchemaVersion = 4
+const ReportSchemaVersion = 5
 
 // StageReport is one stage's aggregated telemetry. Field order is part
 // of the report contract and is pinned by a golden test.
@@ -41,16 +41,11 @@ type StageReport struct {
 
 // CacheReport aggregates the result cache's telemetry.
 type CacheReport struct {
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Writes      int64 `json:"writes"`
-	Errors      int64 `json:"errors"`
-	Corrupt     int64 `json:"corrupt"`
-	Retries     int64 `json:"retries"`
-	Quarantined int64 `json:"quarantined"`
-	// Reaped counts quarantined corrupt/ files deleted by the retention
-	// cap (count or age) so the quarantine directory stays bounded.
-	Reaped       int64 `json:"reaped"`
+	Hits         int64 `json:"hits"`
+	Misses       int64 `json:"misses"`
+	Writes       int64 `json:"writes"`
+	Errors       int64 `json:"errors"`
+	Corrupt      int64 `json:"corrupt"`
 	BytesRead    int64 `json:"bytes_read"`
 	BytesWritten int64 `json:"bytes_written"`
 	// HitRate is Hits/(Hits+Misses), 0 when the cache saw no traffic.
@@ -180,10 +175,7 @@ func (c *Collector) Snapshot() *Report {
 	}
 
 	for k, row := range counterTable {
-		v := c.counters.Load(Counter(k))
-		for _, f := range row.fields {
-			*f(r) = v
-		}
+		*row.field(r) = c.counters.Load(Counter(k))
 	}
 	if probes := r.Cache.Hits + r.Cache.Misses; probes > 0 {
 		r.Cache.HitRate = float64(r.Cache.Hits) / float64(probes)
@@ -247,7 +239,7 @@ func (r *Report) Summary() string {
 			time.Duration(s.QueueWaitUS)*time.Microsecond,
 			s.MaxOccupancy, s.MeanOccupancy)
 	}
-	fmt.Fprintf(&sb, "telemetry: cache %d hits / %d misses (%.0f%% hit rate), %d writes, %d corrupt, %d retries\n",
-		r.Cache.Hits, r.Cache.Misses, r.Cache.HitRate*100, r.Cache.Writes, r.Cache.Corrupt, r.Cache.Retries)
+	fmt.Fprintf(&sb, "telemetry: cache %d hits / %d misses (%.0f%% hit rate), %d writes, %d corrupt\n",
+		r.Cache.Hits, r.Cache.Misses, r.Cache.HitRate*100, r.Cache.Writes, r.Cache.Corrupt)
 	return sb.String()
 }

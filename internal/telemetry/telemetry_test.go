@@ -134,7 +134,6 @@ func TestCacheAndEventCounters(t *testing.T) {
 	c.Add(CacheBytesWritten, 400)
 	c.Add(CacheErrors, 1)
 	c.Add(CacheCorrupt, 1)
-	c.Add(CacheRetries, 1)
 	c.Fault("cache.read", "io-error")
 	c.Fault("cache.read", "io-error")
 	c.Fault("pipeline.parse", "panic")
@@ -144,7 +143,7 @@ func TestCacheAndEventCounters(t *testing.T) {
 	rep := c.Snapshot()
 	cr := rep.Cache
 	if cr.Hits != 3 || cr.Misses != 1 || cr.Writes != 1 || cr.Errors != 1 ||
-		cr.Corrupt != 1 || cr.Retries != 1 || cr.Quarantined != 1 {
+		cr.Corrupt != 1 {
 		t.Fatalf("cache counters wrong: %+v", cr)
 	}
 	if cr.BytesRead != 300 || cr.BytesWritten != 400 {
