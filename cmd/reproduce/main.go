@@ -121,8 +121,10 @@ func run(cfg config) (degraded bool, err error) {
 	seed := cfg.seed
 	fmt.Printf("Generating the calibrated corpus (seed %d) and running the full pipeline...\n\n", seed)
 	opts := pipeline.Options{CacheDir: cfg.cacheDir, ProjectTimeout: cfg.projectTimeout}
+	// Chaos mode needs a collector too: it is the one tally of fired
+	// faults, read back for the chaos line.
 	var tel *telemetry.Collector
-	if cfg.telemetryJSON != "" || cfg.telemetryTrace != "" || cfg.pprofAddr != "" {
+	if cfg.telemetryJSON != "" || cfg.telemetryTrace != "" || cfg.pprofAddr != "" || cfg.faultSeed != 0 {
 		tel = telemetry.New()
 		opts.Telemetry = tel
 	}
@@ -135,6 +137,7 @@ func run(cfg config) (degraded bool, err error) {
 	}
 	if cfg.faultSeed != 0 {
 		opts.Fault = faultinject.New(faultinject.Config{Seed: cfg.faultSeed, Rate: cfg.faultRate})
+		opts.Fault.SetObserver(tel.Fault)
 		fmt.Printf("chaos: injecting deterministic faults (seed %d, rate %.2f)\n\n", cfg.faultSeed, cfg.faultRate)
 	}
 	ctx, stats, err := experiments.NewPaperContextTolerant(seed, opts)
@@ -152,18 +155,30 @@ func run(cfg config) (degraded bool, err error) {
 		fmt.Printf("continuing with the %d surviving projects\n", ctx.Corpus.Len())
 	}
 	if opts.Fault != nil {
-		fmt.Printf("chaos: %s\n", opts.Fault.Summary())
+		fmt.Printf("chaos: %s\n", faultSummary(tel.Snapshot().Faults))
 	}
 	fmt.Printf("Corpus: %d projects with lifetime > 12 months.\n\n", ctx.Corpus.Len())
 	if err := emitArtifacts(cfg, ctx); err != nil {
 		return degraded, err
 	}
-	return degraded, writeTelemetry(cfg, tel)
+	return degraded, writeTelemetry(cfg, tel, stats.Spans)
+}
+
+// faultSummary renders the fired-fault tallies as one sorted line.
+func faultSummary(faults []telemetry.EventCount) string {
+	if len(faults) == 0 {
+		return "no faults injected"
+	}
+	parts := make([]string, len(faults))
+	for i, f := range faults {
+		parts[i] = fmt.Sprintf("%s×%d", f.Name, f.Count)
+	}
+	return strings.Join(parts, " ")
 }
 
 // writeTelemetry prints the run's telemetry digest and lands the report and
 // trace files requested on the command line. No-op without a collector.
-func writeTelemetry(cfg config, tel *telemetry.Collector) error {
+func writeTelemetry(cfg config, tel *telemetry.Collector, spans []telemetry.Span) error {
 	if tel == nil {
 		return nil
 	}
@@ -187,7 +202,7 @@ func writeTelemetry(cfg config, tel *telemetry.Collector) error {
 		if err != nil {
 			return err
 		}
-		werr := tel.WriteTraceJSONL(f)
+		werr := telemetry.WriteTraceJSONL(f, spans)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}

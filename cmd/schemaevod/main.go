@@ -10,7 +10,6 @@
 //	schemaevod -corpus corpus.json            # preload a serialized corpus
 //	schemaevod -synth 151 -seed 1             # preload a synthetic corpus
 //	schemaevod -addr 127.0.0.1:0              # pick a free port (printed)
-//	schemaevod -cache /var/cache/schemaevo    # persistent result cache
 //	schemaevod -store-dir /var/lib/schemaevo  # persistent project store (survives restarts)
 //	schemaevod -store-shards 16 -hot-bytes 67108864
 //	schemaevod -render-bytes 134217728        # 128 MiB pre-rendered response cache
@@ -48,7 +47,6 @@ type options struct {
 	corpusPath     string
 	synthN         int
 	seed           int64
-	cacheDir       string
 	storeDir       string
 	storeShards    int
 	analysisShards int
@@ -75,7 +73,6 @@ func main() {
 	flag.StringVar(&o.corpusPath, "corpus", "", "preload a serialized corpus (JSON, see corpusgen)")
 	flag.IntVar(&o.synthN, "synth", 0, "preload a synthetic corpus of this many projects (0 disables; with -corpus, -corpus wins)")
 	flag.Int64Var(&o.seed, "seed", 1, "synthetic corpus generator seed (with -synth)")
-	flag.StringVar(&o.cacheDir, "cache", "", "pipeline disk-cache directory for submitted analyses (empty disables)")
 	flag.StringVar(&o.storeDir, "store-dir", "", "persistent project-store directory: submitted sources and results survive restarts (empty = memory only)")
 	flag.IntVar(&o.storeShards, "store-shards", 0, "segment-file count for a new store directory (0 = 8; existing directories keep their count)")
 	flag.IntVar(&o.analysisShards, "analysis-shards", 0, "analysis pipeline shard count (0 = GOMAXPROCS; 1 = sequential path)")
@@ -158,7 +155,6 @@ func run(o options) error {
 
 	srv, err := server.New(context.Background(), server.Config{
 		Corpus:         c,
-		CacheDir:       o.cacheDir,
 		StoreDir:       o.storeDir,
 		StoreShards:    o.storeShards,
 		AnalysisShards: o.analysisShards,

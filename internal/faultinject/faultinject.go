@@ -19,9 +19,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -98,13 +95,13 @@ type Injector struct {
 	// site and the kind's string form. It must not affect injection
 	// decisions — it is a telemetry tap, not a control hook.
 	observer atomic.Pointer[func(site, kind string)]
-
-	mu    sync.Mutex
-	fired map[string]int
 }
 
 // SetObserver installs (or, with nil, removes) a callback invoked on every
-// fired fault. The callback must be safe for concurrent use. Nil-safe.
+// fired fault: the injector keeps no tally of its own. The code that
+// builds an injector and a telemetry collector together joins them once,
+// with SetObserver(collector.Fault). The callback must be safe for
+// concurrent use. Nil-safe.
 func (in *Injector) SetObserver(fn func(site, kind string)) {
 	if in == nil {
 		return
@@ -124,7 +121,7 @@ func New(cfg Config) *Injector {
 	if cfg.Delay <= 0 {
 		cfg.Delay = time.Millisecond
 	}
-	in := &Injector{cfg: cfg, fired: map[string]int{}}
+	in := &Injector{cfg: cfg}
 	if len(cfg.Sites) > 0 {
 		in.sites = make(map[string]bool, len(cfg.Sites))
 		for _, s := range cfg.Sites {
@@ -174,9 +171,6 @@ func (in *Injector) At(site, key string) Kind {
 		return KindNone
 	}
 	k := in.cfg.Kinds[int((h>>32)%uint64(len(in.cfg.Kinds)))]
-	in.mu.Lock()
-	in.fired[site+"/"+k.String()]++
-	in.mu.Unlock()
 	if obs := in.observer.Load(); obs != nil {
 		(*obs)(site, k.String())
 	}
@@ -218,37 +212,4 @@ func (in *Injector) Mangle(data []byte, key string) {
 		}
 		data[off] ^= mask
 	}
-}
-
-// Fired returns a copy of the per-(site, kind) injection counters, keyed
-// "site/kind". Nil-safe.
-func (in *Injector) Fired() map[string]int {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[string]int, len(in.fired))
-	for k, v := range in.fired {
-		out[k] = v
-	}
-	return out
-}
-
-// Summary renders the fired counters as one sorted line, for logs.
-func (in *Injector) Summary() string {
-	f := in.Fired()
-	if len(f) == 0 {
-		return "no faults injected"
-	}
-	keys := make([]string, 0, len(f))
-	for k := range f {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s×%d", k, f[k]))
-	}
-	return strings.Join(parts, " ")
 }

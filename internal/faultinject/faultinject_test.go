@@ -60,6 +60,8 @@ func TestRate(t *testing.T) {
 // configured kinds are drawn.
 func TestSiteAndKindFilters(t *testing.T) {
 	in := New(Config{Seed: 7, Rate: 1, Sites: []string{"cache.read"}, Kinds: []Kind{KindErr}})
+	f := map[string]int{}
+	in.SetObserver(func(site, kind string) { f[site+"/"+kind]++ })
 	for i := 0; i < 50; i++ {
 		key := string(rune('a'+i%26)) + string(rune('0'+i/26))
 		if k := in.At("pipeline.parse", key); k != KindNone {
@@ -69,7 +71,6 @@ func TestSiteAndKindFilters(t *testing.T) {
 			t.Fatalf("got kind %v, want only io-error", k)
 		}
 	}
-	f := in.Fired()
 	if f["cache.read/io-error"] != 50 || len(f) != 1 {
 		t.Errorf("fired counters = %v, want cache.read/io-error×50 only", f)
 	}
@@ -117,14 +118,25 @@ func TestSleepRespectsContext(t *testing.T) {
 	nilInj.Sleep(context.Background())
 }
 
-// TestSummary renders fired counters stably.
-func TestSummary(t *testing.T) {
-	in := New(Config{Seed: 3, Rate: 1, Kinds: []Kind{KindDelay}})
-	if got := in.Summary(); got != "no faults injected" {
-		t.Errorf("fresh injector summary = %q", got)
+// TestObserver: the observer sees each fired fault once, with its site
+// and kind, and nothing for a site that does not fire; removing it
+// stops the calls. Nil-safe.
+func TestObserver(t *testing.T) {
+	in := New(Config{Seed: 3, Rate: 1, Kinds: []Kind{KindDelay}, Sites: []string{"s"}})
+	var got []string
+	in.SetObserver(func(site, kind string) { got = append(got, site+"/"+kind) })
+	in.At("s", "k1")
+	in.At("other", "k1")
+	in.At("s", "k2")
+	if want := []string{"s/delay", "s/delay"}; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("observed %v, want %v", got, want)
 	}
-	in.At("s", "k")
-	if got := in.Summary(); got != "s/delay×1" {
-		t.Errorf("summary = %q, want s/delay×1", got)
+	in.SetObserver(nil)
+	in.At("s", "k3")
+	if len(got) != 2 {
+		t.Fatalf("a removed observer was called: %v", got)
 	}
+	var nilInj *Injector
+	nilInj.SetObserver(func(string, string) { t.Fatal("nil injector fired") })
+	nilInj.At("s", "k")
 }

@@ -28,11 +28,13 @@
 package pipeline
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,12 +85,15 @@ type Options struct {
 	ProjectTimeout time.Duration
 	// Fault injects deterministic faults at the pipeline's named sites
 	// (pipeline.parse, pipeline.assemble, pipeline.metrics, cache.read,
-	// cache.write) — the chaos-testing hook. nil disables injection.
+	// cache.write) — the chaos-testing hook. nil disables injection. Run
+	// does not tap the injector: a caller passing both an injector and a
+	// collector joins them itself, once, by installing Telemetry.Fault as
+	// the injector's observer.
 	Fault *faultinject.Injector
 	// Telemetry, when non-nil, collects per-stage timings and occupancy,
-	// cache effectiveness counters, fault/degradation events and per-project
-	// spans for this run. nil (the default) disables collection at zero
-	// hot-path cost.
+	// cache effectiveness counters and degradation events, and makes the
+	// run return its per-project spans in Stats.Spans. nil (the default)
+	// disables collection at zero hot-path cost.
 	Telemetry *telemetry.Collector
 }
 
@@ -121,6 +126,11 @@ type Stats struct {
 	Elapsed time.Duration `json:"elapsed_ns"`
 
 	Degradation *DegradationReport `json:"degradation,omitempty"`
+
+	// Spans traces the run: one span per (project, stage) the project
+	// entered, its start measured from the run's start, sorted by start,
+	// then project, then stage. nil when Options.Telemetry is nil.
+	Spans []telemetry.Span `json:"-"`
 }
 
 func (s Stats) String() string {
@@ -205,14 +215,10 @@ func Run(ctx context.Context, c *corpus.Corpus, opts Options) (Stats, error) {
 
 	tel := opts.Telemetry
 	// Register the stages in pipeline order so the report lists them that
-	// way, and tap the injector so fired faults land in the run report.
+	// way.
 	tel.Stage("parse").SetWorkers(shards)
 	tel.Stage("assemble").SetWorkers(shards)
 	tel.Stage("metrics").SetWorkers(shards)
-	if tel != nil && opts.Fault != nil {
-		opts.Fault.SetObserver(tel.Fault)
-		defer opts.Fault.SetObserver(nil)
-	}
 
 	var cache *diskCache
 	if opts.CacheDir != "" {
@@ -324,7 +330,7 @@ func Run(ctx context.Context, c *corpus.Corpus, opts Options) (Stats, error) {
 		j.p.Analyzed = true
 	}
 
-	exec := stageExec{timeout: opts.ProjectTimeout, fail: fail, col: tel}
+	exec := stageExec{timeout: opts.ProjectTimeout, fail: fail, col: tel, start: start}
 	chain := [...]stage{
 		exec.named("parse", parse),
 		exec.named("assemble", assemble),
@@ -347,10 +353,11 @@ func Run(ctx context.Context, c *corpus.Corpus, opts Options) (Stats, error) {
 	// Each index is claimed once, so a shard writes its (possibly
 	// replaced) job back to jobs[i] without a lock. The stage wrappers
 	// still provide panic isolation, the deadline watchdog, and per-stage
-	// telemetry.
+	// telemetry. With telemetry on, each shard appends its spans to a
+	// slice of its own and returns it: no lock, no shared buffer.
 	var cursor atomic.Int64
 	claim := func() int { return int(cursor.Add(1)) - 1 }
-	runShard := func() {
+	runShard := func() (spans []telemetry.Span) {
 		ws := &workerScratch{}
 		defer ws.release()
 		for i := claim(); i < n; i = claim() {
@@ -363,7 +370,7 @@ func Run(ctx context.Context, c *corpus.Corpus, opts Options) (Stats, error) {
 					if st.tel == nil {
 						j = st.run(j, ws)
 					} else {
-						j = st.observed(j, ws)
+						j, spans = st.observed(j, ws, spans)
 					}
 				}
 				if st.tel != nil {
@@ -372,23 +379,29 @@ func Run(ctx context.Context, c *corpus.Corpus, opts Options) (Stats, error) {
 			}
 			jobs[i] = j
 		}
+		return spans
 	}
 	if shards <= 1 {
 		// Single shard: run inline in the caller's goroutine — this is
 		// exactly the sequential analysis loop, with zero scheduling
 		// overhead on top.
-		runShard()
+		stats.Spans = runShard()
 	} else {
+		perShard := make([][]telemetry.Span, shards)
 		var wg sync.WaitGroup
-		for s := 0; s < shards; s++ {
+		for s := range perShard {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				runShard()
+				perShard[s] = runShard()
 			}()
 		}
 		wg.Wait()
+		for _, spans := range perShard {
+			stats.Spans = append(stats.Spans, spans...)
+		}
 	}
+	sortSpans(stats.Spans)
 
 	// Collect in corpus order: jobs is index-addressed, so failure and
 	// anomaly reporting is deterministic without sorting.
@@ -450,10 +463,25 @@ type stageExec struct {
 	timeout time.Duration
 	fail    func(*job, FailureKind, error)
 	col     *telemetry.Collector
+	start   time.Time // the run's start, the origin of its span offsets
 }
 
 func (e stageExec) named(name string, fn func(*job, *workerScratch)) stage {
-	return stage{name: name, fn: fn, timeout: e.timeout, fail: e.fail, col: e.col, tel: e.col.Stage(name)}
+	return stage{name: name, fn: fn, timeout: e.timeout, fail: e.fail, start: e.start, tel: e.col.Stage(name)}
+}
+
+// sortSpans puts a run's spans in trace order: by start offset, then
+// project, then stage.
+func sortSpans(spans []telemetry.Span) {
+	slices.SortFunc(spans, func(a, b telemetry.Span) int {
+		if c := cmp.Compare(a.StartUS, b.StartUS); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Project, b.Project); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Stage, b.Stage)
+	})
 }
 
 // workerScratch is the per-shard arena: state one shard goroutine reuses
@@ -493,9 +521,9 @@ type stage struct {
 	fn      func(*job, *workerScratch)
 	timeout time.Duration
 	fail    func(*job, FailureKind, error)
-	// col and tel are nil when telemetry is off; the worker loop gates all
-	// clock reads on tel so the disabled path costs one pointer compare.
-	col *telemetry.Collector
+	start   time.Time // the run's start, the origin of span offsets
+	// tel is nil when telemetry is off; the worker loop gates all clock
+	// reads on it so the disabled path costs one pointer compare.
 	tel *telemetry.Stage
 }
 
@@ -554,9 +582,10 @@ func (s stage) run(j *job, ws *workerScratch) *job {
 }
 
 // observed wraps run with the stage's telemetry: queue wait (time since the
-// job became eligible), occupancy, the per-job duration histogram, and one
-// trace span. Only called when telemetry is on.
-func (s stage) observed(j *job, ws *workerScratch) *job {
+// job became eligible), occupancy and the per-job duration histogram, and
+// appends one trace span to the shard's spans. Only called when telemetry
+// is on.
+func (s stage) observed(j *job, ws *workerScratch, spans []telemetry.Span) (*job, []telemetry.Span) {
 	var wait time.Duration
 	if !j.readyAt.IsZero() {
 		wait = time.Since(j.readyAt)
@@ -568,8 +597,13 @@ func (s stage) observed(j *job, ws *workerScratch) *job {
 	s.tel.Exit()
 	failed := j.err != nil
 	s.tel.Observe(wait, busy, failed)
-	s.col.RecordSpan(j.p.Name, s.name, begin, busy, failed)
-	return j
+	return j, append(spans, telemetry.Span{
+		Project: j.p.Name,
+		Stage:   s.name,
+		StartUS: begin.Sub(s.start).Microseconds(),
+		DurUS:   busy.Microseconds(),
+		Err:     failed,
+	})
 }
 
 // clampWorkers resolves a shard-count request against the job count:

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -78,10 +79,10 @@ func TestRunTelemetry(t *testing.T) {
 
 		// Every project leaves one span per stage it entered; a cache hit
 		// still passes through all three stages.
-		if rep.SpanCount != 3*n {
-			t.Errorf("%s: spans = %d, want %d", phase, rep.SpanCount, 3*n)
+		if len(stats.Spans) != 3*n {
+			t.Errorf("%s: spans = %d, want %d", phase, len(stats.Spans), 3*n)
 		}
-		for _, sp := range tel.Spans() {
+		for _, sp := range stats.Spans {
 			if sp.Project == "" || sp.Stage == "" || sp.DurUS < 0 {
 				t.Fatalf("%s: malformed span %+v", phase, sp)
 			}
@@ -90,7 +91,8 @@ func TestRunTelemetry(t *testing.T) {
 }
 
 // TestRunTelemetryFaultsAndDegradation checks that injected faults and
-// per-project failures reach the collector's event tallies.
+// per-project failures reach the collector's event tallies, with the
+// injector joined to the collector by the caller.
 func TestRunTelemetryFaultsAndDegradation(t *testing.T) {
 	c, err := synth.RandomCorpus(8, 3)
 	if err != nil {
@@ -103,6 +105,7 @@ func TestRunTelemetryFaultsAndDegradation(t *testing.T) {
 		Kinds: []faultinject.Kind{faultinject.KindErr},
 		Sites: []string{"pipeline.parse"},
 	})
+	inj.SetObserver(tel.Fault)
 	stats, err := Run(context.Background(), c, Options{Fault: inj, Telemetry: tel})
 	if err == nil {
 		t.Fatal("expected failures under rate-1 injection")
@@ -125,11 +128,57 @@ func TestRunTelemetryFaultsAndDegradation(t *testing.T) {
 	if len(rep.Degradation) != 1 || rep.Degradation[0].Name != string(FailParse) || rep.Degradation[0].Count != int64(c.Len()) {
 		t.Errorf("degradation tallies = %+v, want parse×%d", rep.Degradation, c.Len())
 	}
-	// The observer is detached after the run: later injector activity must
-	// not mutate this run's report.
-	inj.At("pipeline.parse", "post-run-key")
-	if got := tel.Snapshot(); len(got.Faults) != len(rep.Faults) {
-		t.Error("injector observer leaked past the run")
+}
+
+// TestRunSpans checks the spans a run returns: with a collector, exactly
+// one span per stage for every project, in trace order (start, project,
+// stage), offsets measured from the run's start, at one shard and at
+// four; without a collector, none.
+func TestRunSpans(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		c, err := synth.RandomCorpus(12, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := time.Now()
+		stats, err := Run(context.Background(), c, Options{Shards: shards, Telemetry: telemetry.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runUS := time.Since(before).Microseconds()
+		if len(stats.Spans) != 3*c.Len() {
+			t.Fatalf("shards %d: %d spans, want %d", shards, len(stats.Spans), 3*c.Len())
+		}
+		seen := map[string][]string{}
+		for i, sp := range stats.Spans {
+			if sp.Err || sp.StartUS < 0 || sp.DurUS < 0 || sp.StartUS+sp.DurUS > runUS {
+				t.Fatalf("shards %d: span %+v outside a clean %dµs run", shards, sp, runUS)
+			}
+			if i > 0 {
+				prev := stats.Spans[i-1]
+				if prev.StartUS > sp.StartUS ||
+					prev.StartUS == sp.StartUS && (prev.Project > sp.Project ||
+						prev.Project == sp.Project && prev.Stage >= sp.Stage) {
+					t.Fatalf("shards %d: span %d %+v out of order after %+v", shards, i, sp, prev)
+				}
+			}
+			seen[sp.Project] = append(seen[sp.Project], sp.Stage)
+		}
+		for _, p := range c.Projects {
+			stages := append([]string(nil), seen[p.Name]...)
+			sort.Strings(stages)
+			if strings.Join(stages, ",") != "assemble,metrics,parse" {
+				t.Errorf("shards %d: project %s spans %v, want one per stage", shards, p.Name, seen[p.Name])
+			}
+		}
+
+		stats, err = Run(context.Background(), c, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Spans != nil {
+			t.Errorf("shards %d: %d spans without a collector, want nil", shards, len(stats.Spans))
+		}
 	}
 }
 

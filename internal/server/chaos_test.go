@@ -8,12 +8,14 @@ package server_test
 import (
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"schemaevo/internal/faultinject"
 	"schemaevo/internal/server"
+	"schemaevo/internal/telemetry"
 )
 
 // siteInjector fires the given kind at every key of one site.
@@ -117,9 +119,8 @@ func TestChaosHandlerPanic(t *testing.T) {
 	}
 }
 
-// TestChaosFaultsReachMetrics asserts fired faults surface in the
-// /metrics report's fault tally (the injector observer is wired through
-// the pipeline options).
+// TestChaosFaultsReachMetrics asserts faults fired inside a pipeline run
+// surface in the /metrics report's fault tally.
 func TestChaosFaultsReachMetrics(t *testing.T) {
 	_, hs := newService(t, server.Config{Fault: siteInjector("pipeline.parse", faultinject.KindErr)})
 	post(t, hs.URL, submitRepo())
@@ -141,6 +142,33 @@ func TestChaosFaultsReachMetrics(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("metrics fault tally lacks pipeline.parse/io-error: %+v", rep.Faults)
+	}
+}
+
+// TestMetricsCountEveryFault: faults fired outside any pipeline run —
+// in the submit handler, on a torn flush, on a full disk — reach the
+// /metrics fault tally too, each counted once per firing. Every POST
+// here reaches its site exactly once, and the rate-1 plan fires there.
+func TestMetricsCountEveryFault(t *testing.T) {
+	const posts = 4
+	for _, site := range []string{"server.submit", "store.flush", "store.diskfull"} {
+		_, hs := newService(t, server.Config{StoreDir: t.TempDir(), Fault: siteInjector(site, faultinject.KindErr)})
+		for i := 0; i < posts; i++ {
+			if status, _, body := post(t, hs.URL, distinctRepo(i)); status < 500 {
+				t.Fatalf("%s: submit %d: status %d, body %s; want 5xx", site, i, status, body)
+			}
+		}
+		_, _, body := do(t, http.MethodGet, hs.URL+"/metrics", nil)
+		var rep struct {
+			Faults []telemetry.EventCount `json:"faults"`
+		}
+		if err := json.Unmarshal(body, &rep); err != nil {
+			t.Fatal(err)
+		}
+		want := []telemetry.EventCount{{Name: site + "/io-error", Count: posts}}
+		if !reflect.DeepEqual(rep.Faults, want) {
+			t.Errorf("%s: /metrics faults = %+v, want %+v", site, rep.Faults, want)
+		}
 	}
 }
 

@@ -4,10 +4,13 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -72,33 +75,40 @@ func TestHealthzReadyzHealthy(t *testing.T) {
 	}
 }
 
-// TestReadOnlyModeOverHTTP drives the full disk-exhaustion degradation
-// end to end: an injected ENOSPC during a submission's store flush flips
-// the store to read-only; the submission is answered 503 (never acked),
-// every write endpoint refuses with 503 + Retry-After, /readyz goes
-// unavailable, /healthz stays 200 and says why — and reads keep serving.
+// readOnlyService starts a server whose disk watchdog floor no
+// filesystem can meet, so the first ScrubNow flips the store read-only.
+// Skips where the platform has no free-space probe.
+func readOnlyService(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server, func()) {
+	t.Helper()
+	cfg.StoreDir = t.TempDir()
+	cfg.DiskLowBytes = 1 << 62
+	srv, hs := newService(t, cfg)
+	flip := func() {
+		t.Helper()
+		if rep := srv.ScrubNow(context.Background()); !rep.ReadOnly {
+			if rep.FreeBytes < 0 {
+				t.Skip("no free-space probe on this platform")
+			}
+			t.Fatalf("watchdog left the store writable at %d free bytes", rep.FreeBytes)
+		}
+	}
+	return srv, hs, flip
+}
+
+// TestReadOnlyModeOverHTTP drives the disk-budget degradation end to
+// end: once the watchdog finds free space below its floor the store is
+// read-only, every write endpoint refuses with 503 + Retry-After, /readyz
+// goes unavailable, /healthz stays 200 and says why — and reads keep
+// serving, a project acked before the flip included.
 func TestReadOnlyModeOverHTTP(t *testing.T) {
-	srv, hs := newService(t, server.Config{
-		Corpus:   testCorpus(t),
-		StoreDir: t.TempDir(),
-		Fault:    siteInjector("store.diskfull", faultinject.KindErr),
-	})
+	srv, hs, flip := readOnlyService(t, server.Config{Corpus: testCorpus(t)})
+	id := submitID(t, hs.URL, submitRepo())
+	flip()
 
-	// The analysis succeeds but the durable write hits ENOSPC: the server
-	// must refuse to ack it.
-	status, hdr, body := post(t, hs.URL, submitRepo())
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("submit during disk-full: status %d, body %s, want 503", status, body)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("503 without a Retry-After hint")
-	}
-
-	// The store is now read-only; every write endpoint gates up front.
 	for _, req := range []struct{ method, path string }{
 		{http.MethodPost, "/v1/projects"},
 		{http.MethodPost, "/v1/projects:batch"},
-		{http.MethodDelete, "/v1/projects/0000000000000000"},
+		{http.MethodDelete, "/v1/projects/" + id},
 	} {
 		status, hdr, _ := do(t, req.method, hs.URL+req.path, []byte("{}"))
 		if status != http.StatusServiceUnavailable {
@@ -118,19 +128,53 @@ func TestReadOnlyModeOverHTTP(t *testing.T) {
 		t.Fatal("readyz 503 without Retry-After")
 	}
 	status, hz := getHealthz(t, hs.URL)
-	if status != http.StatusOK || hz.Status != "read-only" || !hz.ReadOnly {
-		t.Fatalf("healthz = %d %+v, want 200 read-only", status, hz)
+	if status != http.StatusOK || hz.Status != "read-only" || !hz.ReadOnly || len(hz.Reasons) != 1 {
+		t.Fatalf("healthz = %d %+v, want 200 read-only with its reason", status, hz)
 	}
 	if srv.HealthState() != server.StateReadOnly {
 		t.Fatalf("HealthState() = %v, want read-only", srv.HealthState())
 	}
 
-	// Reads keep serving: the corpus endpoints answer 200.
-	if status, _, _ := do(t, http.MethodGet, hs.URL+"/v1/corpus/stats", nil); status != http.StatusOK {
-		t.Fatalf("corpus stats in read-only mode: status %d, want 200", status)
+	// Reads keep serving: the stored project, the corpus, the metrics.
+	for _, path := range []string{"/v1/projects/" + id, "/v1/corpus/stats", "/metrics"} {
+		if status, _, _ := do(t, http.MethodGet, hs.URL+path, nil); status != http.StatusOK {
+			t.Fatalf("GET %s in read-only mode: status %d, want 200", path, status)
+		}
 	}
-	if status, _, _ := do(t, http.MethodGet, hs.URL+"/metrics", nil); status != http.StatusOK {
-		t.Fatalf("metrics in read-only mode: status %d, want 200", status)
+}
+
+// TestDiskFullRefusesOnlyItsWrite: an ENOSPC answers its submission 503
+// + Retry-After (never acked) and nothing more. The server stays healthy
+// and writable, so a later submission whose write finds room is acked.
+func TestDiskFullRefusesOnlyItsWrite(t *testing.T) {
+	fault := faultinject.New(faultinject.Config{
+		Seed: 1, Rate: 0.5,
+		Kinds: []faultinject.Kind{faultinject.KindErr},
+		Sites: []string{"store.diskfull"},
+	})
+	srv, hs := newService(t, server.Config{StoreDir: t.TempDir(), Fault: fault})
+	refused, ackedAfter := 0, 0
+	for i := 0; i < 16; i++ {
+		status, hdr, body := post(t, hs.URL, distinctRepo(i))
+		switch {
+		case status == http.StatusServiceUnavailable && hdr.Get("Retry-After") != "":
+			refused++
+		case status == http.StatusOK:
+			if refused > 0 {
+				ackedAfter++
+			}
+		default:
+			t.Fatalf("submit %d: status %d, body %s; want 200 or 503 + Retry-After", i, status, body)
+		}
+		if st := srv.HealthState(); st != server.StateHealthy {
+			t.Fatalf("after submit %d: health %v, want healthy", i, st)
+		}
+	}
+	if refused == 0 || ackedAfter == 0 {
+		t.Fatalf("%d refused, %d acked after a refusal; the fault plan needs both", refused, ackedAfter)
+	}
+	if got := srv.Stored(); got != 16-refused {
+		t.Fatalf("Stored = %d, want %d (every ack, no refusal)", got, 16-refused)
 	}
 }
 
@@ -236,7 +280,6 @@ func TestBackgroundScrubberHealsService(t *testing.T) {
 	_, hs := newService(t, server.Config{
 		StoreDir:      t.TempDir(),
 		ScrubInterval: 2 * time.Millisecond,
-		ScrubPace:     -1,
 		Fault:         siteInjector("store.scrub", faultinject.KindCorrupt),
 		Telemetry:     telemetry.New(),
 	})
@@ -285,65 +328,65 @@ func TestBackgroundScrubberHealsService(t *testing.T) {
 }
 
 // TestBatchReadOnlyMidStream flips the store read-only between two batch
-// lines (via an operator-style flip through a disk-full submission on a
-// parallel connection being impractical here, the test drives the flip
-// deterministically with the diskfull site keyed to the second line's
-// project) and asserts the first line is acked, the second is an error
-// line, and the stream still terminates with a well-formed summary.
+// lines — the disk watchdog runs while the stream is open — and asserts
+// the first line is acked, the second is an error line that did not
+// land, and the stream still terminates with a well-formed summary.
 func TestBatchReadOnlyMidStream(t *testing.T) {
-	// The diskfull site faults per store key (the project ID); rate 1
-	// faults every key, so line 1 already flips the store. That is fine:
-	// the invariant under test is that NO line is acked without landing
-	// durably, and the stream still summarizes.
-	_, hs := newService(t, server.Config{
-		StoreDir: t.TempDir(),
-		Fault:    siteInjector("store.diskfull", faultinject.KindErr),
-	})
-
-	var in bytes.Buffer
-	for i := 0; i < 3; i++ {
-		line, err := json.Marshal(distinctRepo(i))
+	srv, hs, flip := readOnlyService(t, server.Config{})
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	sendLine := func(i int) {
+		t.Helper()
+		data, err := json.Marshal(distinctRepo(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		in.Write(line)
-		in.WriteByte('\n')
-	}
-	status, _, body := do(t, http.MethodPost, hs.URL+"/v1/projects:batch", in.Bytes())
-	if status != http.StatusOK {
-		t.Fatalf("batch: status %d, body %s", status, body)
-	}
-	lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
-	var summary struct {
-		Status string `json:"status"`
-		Lines  int    `json:"lines"`
-		OK     int    `json:"ok"`
-		Errors int    `json:"errors"`
-	}
-	if err := json.Unmarshal(lines[len(lines)-1], &summary); err != nil {
-		t.Fatalf("summary line %s: %v", lines[len(lines)-1], err)
-	}
-	if summary.Status != "summary" {
-		t.Fatalf("last line is not the summary: %s", lines[len(lines)-1])
-	}
-	// Every line that failed to land durably must be an error line; none
-	// may be acked "ok" (the first line's flush already failed).
-	if summary.OK != 0 || summary.Errors != summary.Lines {
-		t.Fatalf("summary %+v: lines that missed durability were acked", summary)
-	}
-	for i, raw := range lines[:len(lines)-1] {
-		var lw struct {
-			Status string `json:"status"`
-			Error  string `json:"error"`
+		if _, err := pw.Write(append(data, '\n')); err != nil {
+			t.Fatal(err)
 		}
-		if err := json.Unmarshal(raw, &lw); err != nil {
-			t.Fatalf("line %d %s: %v", i, raw, err)
+	}
+	type posted struct {
+		resp *http.Response
+		err  error
+	}
+	respCh := make(chan posted, 1)
+	go func() {
+		resp, err := http.Post(hs.URL+"/v1/projects:batch", "application/x-ndjson", pr)
+		respCh <- posted{resp, err}
+	}()
+
+	sendLine(0)
+	p := <-respCh // the headers go out with the first line's answer
+	if p.err != nil {
+		t.Fatal(p.err)
+	}
+	defer p.resp.Body.Close()
+	sc := bufio.NewScanner(p.resp.Body)
+	next := func() batchLine {
+		t.Helper()
+		if !sc.Scan() {
+			t.Fatalf("stream ended early: %v", sc.Err())
 		}
-		if lw.Status != "error" {
-			t.Fatalf("line %d acked despite failed flush: %s", i, raw)
+		var l batchLine
+		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+			t.Fatalf("unparseable batch line %q: %v", sc.Bytes(), err)
 		}
-		if lw.Error == "" {
-			t.Fatalf("line %d error line without a reason: %s", i, raw)
-		}
+		return l
+	}
+	if l := next(); l.Status != "ok" {
+		t.Fatalf("line 1 before the flip: %+v, want ok", l)
+	}
+
+	flip()
+	sendLine(1)
+	if l := next(); l.Status != "error" || l.Error == "" {
+		t.Fatalf("line 2 after the flip: %+v, want an error line with its reason", l)
+	}
+	pw.Close()
+	if sum := next(); sum.Status != "summary" || sum.Lines != 2 || sum.OK != 1 || sum.Errors != 1 {
+		t.Fatalf("summary = %+v, want 2 lines, 1 ok, 1 error", sum)
+	}
+	if got := srv.Stored(); got != 1 {
+		t.Fatalf("Stored = %d, want 1 (the refused line must not land)", got)
 	}
 }

@@ -71,10 +71,6 @@ type Config struct {
 	// Corpus, when non-nil, is analyzed at construction time and served
 	// by the /v1/corpus endpoints and by GET /v1/projects/{id}.
 	Corpus *corpus.Corpus
-	// CacheDir enables the pipeline's content-hash disk cache for
-	// submitted analyses (empty disables it; the result store is always
-	// on).
-	CacheDir string
 	// StoreDir enables the result store's disk tier: submitted analyses
 	// (results AND source snapshots) persist across restarts in sharded
 	// segment files under this directory. Empty selects memory-only mode.
@@ -124,7 +120,8 @@ type Config struct {
 	// "server.submit"), the store ("store.flush", "store.scrub",
 	// "store.diskfull", "store.slowdisk"), and the pipeline/cache sites of
 	// submitted analyses. nil disables injection. Startup corpus analysis
-	// is always fault-free.
+	// is always fault-free. New joins the injector to the server's
+	// collector, so /metrics counts every fault that fires.
 	Fault *faultinject.Injector
 	// ScrubInterval enables the background store scrubber: every interval
 	// it CRC-verifies stored records ahead of demand, quarantines latent
@@ -133,10 +130,6 @@ type Config struct {
 	// disk-budget watchdog. <= 0 disables the background loop (ScrubNow
 	// stays available for on-demand passes).
 	ScrubInterval time.Duration
-	// ScrubPace rate-limits the scrubber's per-record reads so a pass
-	// never competes with foreground traffic for disk. 0 selects 500µs
-	// between records; < 0 disables pacing.
-	ScrubPace time.Duration
 	// DiskLowBytes is the disk-budget watchdog's free-space floor: while
 	// the store directory's filesystem has less available, the store
 	// degrades to read-only (write endpoints answer 503 + Retry-After,
@@ -219,6 +212,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	if s.tel = cfg.Telemetry; s.tel == nil {
 		s.tel = telemetry.New()
 	}
+	cfg.Fault.SetObserver(s.tel.Fault)
 	max := cfg.MaxConcurrent
 	if max <= 0 {
 		max = 2 * runtime.GOMAXPROCS(0)
@@ -262,7 +256,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		s.corpus = &corpus.Corpus{}
 	}
 	if len(s.corpus.Projects) > 0 {
-		opts := pipeline.Options{CacheDir: cfg.CacheDir, Scheme: cfg.Scheme, Telemetry: s.tel, Shards: cfg.AnalysisShards, Dialect: cfg.Dialect}
+		opts := pipeline.Options{Scheme: cfg.Scheme, Telemetry: s.tel, Shards: cfg.AnalysisShards, Dialect: cfg.Dialect}
 		if _, err := pipeline.Run(ctx, s.corpus, opts); err != nil {
 			st.Close()
 			return nil, fmt.Errorf("server: corpus analysis: %w", err)
@@ -700,12 +694,12 @@ func (s *Server) tryExtend(next *vcs.Repo, nextID string) (*pipeline.CachedResul
 }
 
 // runFull executes the staged pipeline for one repo under the
-// "analyze.exec" stage.
+// "analyze.exec" stage. The run's spans (stats.Spans) are dropped here:
+// the daemon keeps nothing per analysis.
 func (s *Server) runFull(ctx context.Context, repo *vcs.Repo, fingerprint string) (*pipeline.CachedResult, error) {
 	s.execStage.Enter()
 	begin := time.Now()
 	res, stats, aerr := pipeline.AnalyzeRepo(ctx, repo, pipeline.Options{
-		CacheDir:  s.cfg.CacheDir,
 		Scheme:    s.cfg.Scheme,
 		Fault:     s.cfg.Fault,
 		Telemetry: s.tel,
@@ -774,8 +768,9 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	}
 	if errors.Is(err, store.ErrReadOnly) || store.IsDiskFull(err) {
 		// The store flipped read-only mid-request (the endpoint gate passed
-		// before the flip): the write did not land, so the client must
-		// retry — same contract as being gated up front.
+		// before the flip) or the disk is full: the write did not land,
+		// so the client must retry — same contract as being gated up
+		// front.
 		s.writeReadOnly(w)
 		return
 	}
@@ -933,9 +928,8 @@ func (s *Server) reanalyze(ctx context.Context, id string) (*pipeline.CachedResu
 			return nil, fmt.Errorf("server: stored snapshot for %s: %w", id, derr)
 		}
 		// The decoded strings are views of srcBytes. The name outlives
-		// this request: the pattern index, the render cache and the
-		// pipeline's spans keep it. Its own copy spares them pinning the
-		// whole snapshot.
+		// this request: the pattern index and the render cache keep it.
+		// Its own copy spares them pinning the whole snapshot.
 		repo.Name = strings.Clone(repo.Name)
 		s.semWait.Add(1)
 		select {
@@ -1030,10 +1024,10 @@ func (s *Server) handleCorpusPatterns(w http.ResponseWriter, r *http.Request) {
 	s.serveRendered(w, r, s.patternsRendered(), "corpus", true)
 }
 
-// handleMetrics is GET /metrics: the run's telemetry report JSON
+// handleMetrics is GET /metrics: the process's telemetry report JSON
 // (schema_version'd; see internal/telemetry). The report's store block
-// aggregates the result store's tiers; the cache block covers the
-// pipeline's disk cache when configured.
+// aggregates the result store's tiers; the faults list counts every
+// injected fault that fired, in any handler, store or pipeline site.
 // The report is rendered fully before any header is written, so an
 // encoding failure surfaces as a clean 500 instead of a truncated 200.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

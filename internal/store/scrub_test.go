@@ -294,7 +294,56 @@ func TestReadOnlyModeGatesWrites(t *testing.T) {
 	}
 }
 
-func TestDiskFullAppendDegradesToReadOnly(t *testing.T) {
+// diskFullInjector makes every "store.diskfull" site it is asked about
+// at the given rate fail with ENOSPC.
+func diskFullInjector(rate float64) *faultinject.Injector {
+	return faultinject.New(faultinject.Config{
+		Seed: 3, Rate: rate,
+		Sites: []string{"store.diskfull"},
+		Kinds: []faultinject.Kind{faultinject.KindErr},
+	})
+}
+
+// TestDiskFullFailsOnlyItsWrite: with no watchdog configured, an ENOSPC
+// on one key fails that write alone. The store stays writable, and a Put
+// of another key right after it lands and serves.
+func TestDiskFullFailsOnlyItsWrite(t *testing.T) {
+	probe := diskFullInjector(0.5)
+	full, room := -1, -1
+	for i := 0; i < 64 && (full < 0 || room < 0); i++ {
+		if probe.At("store.diskfull", entry(i, 1).ID) == faultinject.KindErr {
+			full = i
+		} else {
+			room = i
+		}
+	}
+	if full < 0 || room < 0 {
+		t.Fatal("setup: the fault plan has no mix of full and free keys")
+	}
+	s, err := Open(Config{Dir: t.TempDir(), Shards: 2, Fault: diskFullInjector(0.5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	if _, err := s.Put(entry(full, 1)); !IsDiskFull(err) {
+		t.Fatalf("Put(%s) on a full disk: %v, want ENOSPC", entry(full, 1).ID, err)
+	}
+	if s.ReadOnly() {
+		t.Fatal("one ENOSPC left the store read-only")
+	}
+	e := entry(room, 1)
+	mustPut(t, s, e)
+	wantGet(t, s, e.ID, "hot", e.Result)
+	if st := s.StatsSnapshot(); st.DiskFullEvents != 1 || st.ReadOnlyEvents != 0 || s.Len() != 1 {
+		t.Fatalf("stats = diskFull %d, roEvents %d, live %d; want 1, 0, 1", st.DiskFullEvents, st.ReadOnlyEvents, s.Len())
+	}
+}
+
+// TestDiskFullAppendKeepsAckedWrites: on a disk where every append meets
+// ENOSPC, each write is refused on its own (never as read-only), and
+// every previously acked write still serves, then and after a reopen.
+func TestDiskFullAppendKeepsAckedWrites(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir, Shards: 2})
 	if err != nil {
@@ -309,26 +358,19 @@ func TestDiskFullAppendDegradesToReadOnly(t *testing.T) {
 	}
 
 	// Reopen on a "full disk": every segment append hits injected ENOSPC.
-	fi := faultinject.New(faultinject.Config{
-		Seed: 3, Rate: 1,
-		Sites: []string{"store.diskfull"},
-		Kinds: []faultinject.Kind{faultinject.KindErr},
-	})
-	s, err = Open(Config{Dir: dir, Shards: 2, Fault: fi})
+	s, err = Open(Config{Dir: dir, Shards: 2, Fault: diskFullInjector(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	_, err = s.Put(entry(acked, 1))
-	if err == nil || !IsDiskFull(err) {
-		t.Fatalf("Put on full disk: %v, want ENOSPC", err)
+	for i := acked; i < acked+2; i++ {
+		if _, err := s.Put(entry(i, 1)); !IsDiskFull(err) {
+			t.Fatalf("Put %d on full disk: %v, want ENOSPC", i, err)
+		}
 	}
-	if !s.ReadOnly() {
-		t.Fatal("store must degrade to read-only after ENOSPC")
-	}
-	if _, err := s.Put(entry(acked+1, 1)); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Put after degrade: %v, want ErrReadOnly", err)
+	if s.ReadOnly() {
+		t.Fatal("ENOSPC left the store read-only")
 	}
 	// Every acked write still serves (hot tier is cold after reopen, so
 	// these are true disk reads).
@@ -336,8 +378,8 @@ func TestDiskFullAppendDegradesToReadOnly(t *testing.T) {
 		e := entry(i, 1)
 		wantGet(t, s, e.ID, "disk", e.Result)
 	}
-	if st := s.StatsSnapshot(); st.DiskFullEvents == 0 || st.ReadOnlyEvents != 1 {
-		t.Fatalf("stats = diskFull %d, roEvents %d", st.DiskFullEvents, st.ReadOnlyEvents)
+	if st := s.StatsSnapshot(); st.DiskFullEvents != 2 || st.ReadOnlyEvents != 0 {
+		t.Fatalf("stats = diskFull %d, roEvents %d; want 2, 0", st.DiskFullEvents, st.ReadOnlyEvents)
 	}
 
 	// A clean reopen (space freed, say) still has every acked write.
@@ -358,16 +400,12 @@ func TestDiskFullAppendDegradesToReadOnly(t *testing.T) {
 	}
 }
 
-// TestConcurrentDiskFullEntersReadOnlyOnce races writers into ENOSPC:
-// each refused write installs nothing, the store enters read-only once
-// however many flushes fail together, and the watchdog's recovery is the
-// way out. Run it under -race -count=10.
-func TestConcurrentDiskFullEntersReadOnlyOnce(t *testing.T) {
-	s, err := Open(Config{Dir: t.TempDir(), Shards: 4, Fault: faultinject.New(faultinject.Config{
-		Seed: 3, Rate: 1,
-		Sites: []string{"store.diskfull"},
-		Kinds: []faultinject.Kind{faultinject.KindErr},
-	})})
+// TestConcurrentDiskFullInstallsNothing races writers into ENOSPC: each
+// refused write gets its own ENOSPC and installs nothing, the store never
+// turns read-only, and once space is back the next write lands. Run it
+// under -race -count=10.
+func TestConcurrentDiskFullInstallsNothing(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir(), Shards: 4, Fault: diskFullInjector(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,31 +419,25 @@ func TestConcurrentDiskFullEntersReadOnlyOnce(t *testing.T) {
 		}(i)
 	}
 	for i := 0; i < writers; i++ {
-		if err := <-errs; !IsDiskFull(err) && !errors.Is(err, ErrReadOnly) {
-			t.Fatalf("Put on a full disk: %v, want ENOSPC or ErrReadOnly", err)
+		if err := <-errs; !IsDiskFull(err) {
+			t.Fatalf("Put on a full disk: %v, want ENOSPC", err)
 		}
 	}
-	if st := s.StatsSnapshot(); !st.ReadOnly || st.ReadOnlyEvents != 1 || s.Len() != 0 {
-		t.Fatalf("after racing ENOSPC: readOnly %v, events %d, live %d; want true, 1, 0", st.ReadOnly, st.ReadOnlyEvents, s.Len())
+	if st := s.StatsSnapshot(); st.ReadOnly || st.ReadOnlyEvents != 0 || st.DiskFullEvents != writers || s.Len() != 0 {
+		t.Fatalf("after racing ENOSPC: readOnly %v, events %d, diskFull %d, live %d; want false, 0, %d, 0",
+			st.ReadOnly, st.ReadOnlyEvents, st.DiskFullEvents, s.Len(), writers)
 	}
 
-	cfg := ScrubConfig{
-		Pace:           -1,
-		DiskFloorBytes: 1 << 20,
-		FreeSpace:      func(string) (int64, error) { return 2 << 20, nil },
-	}
-	if rep := s.ScrubOnce(context.Background(), cfg); rep.ReadOnly || s.ReadOnly() {
-		t.Fatal("the watchdog's recovery must leave an ENOSPC-entered read-only mode")
-	}
-	if _, err := s.Put(entry(0, 1)); !IsDiskFull(err) {
-		t.Fatalf("Put after recovery on a still-full disk: %v, want ENOSPC", err)
-	}
-	if st := s.StatsSnapshot(); st.ReadOnlyEvents != 2 {
-		t.Fatalf("ReadOnlyEvents = %d after a second ENOSPC, want 2", st.ReadOnlyEvents)
-	}
+	s.fault = nil // space freed
+	e := entry(0, 1)
+	mustPut(t, s, e)
+	wantGet(t, s, e.ID, "hot", e.Result)
 }
 
-func TestDiskFullCompactionDegradesToReadOnly(t *testing.T) {
+// TestDiskFullCompactionKeepsSegment: a compaction that meets ENOSPC
+// aborts with the old segment untouched and the store writable, and the
+// next trigger, with space back, compacts.
+func TestDiskFullCompactionKeepsSegment(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir, Shards: 1, CompactMinBytes: 1 << 40})
 	if err != nil {
@@ -421,11 +453,7 @@ func TestDiskFullCompactionDegradesToReadOnly(t *testing.T) {
 		mustPut(t, s, entry(i, 2))
 	}
 
-	s.fault = faultinject.New(faultinject.Config{
-		Seed: 3, Rate: 1,
-		Sites: []string{"store.diskfull"},
-		Kinds: []faultinject.Kind{faultinject.KindErr},
-	})
+	s.fault = diskFullInjector(1)
 	s.compactMin = 1
 	sh := s.shards[0]
 	sh.mu.Lock()
@@ -436,20 +464,33 @@ func TestDiskFullCompactionDegradesToReadOnly(t *testing.T) {
 	s.maybeCompactLocked(sh)
 	sh.mu.Unlock()
 
-	if !s.ReadOnly() {
-		t.Fatal("store must degrade to read-only when compaction hits ENOSPC")
+	if s.ReadOnly() {
+		t.Fatal("ENOSPC in compaction left the store read-only")
 	}
-	if st := s.StatsSnapshot(); st.Compactions != 0 {
-		t.Fatalf("compactions = %d, want 0 (aborted)", st.Compactions)
+	if st := s.StatsSnapshot(); st.Compactions != 0 || st.DiskFullEvents != 1 {
+		t.Fatalf("compactions = %d, diskFull %d; want 0 (aborted), 1", st.Compactions, st.DiskFullEvents)
 	}
-	// The old segment is untouched: every live record still reads.
-	for i := 0; i < n; i++ {
-		e := entry(i, 2)
-		data, _, ok := s.Get(e.ID)
-		if !ok || !bytes.Equal(data, e.Result) {
-			t.Fatalf("Get(%s) after aborted compaction: ok=%v", e.ID, ok)
+	wantLive := func(when string) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			e := entry(i, 2)
+			data, _, ok := s.Get(e.ID)
+			if !ok || !bytes.Equal(data, e.Result) {
+				t.Fatalf("Get(%s) %s: ok=%v", e.ID, when, ok)
+			}
 		}
 	}
+	// The old segment is untouched: every live record still reads.
+	wantLive("after aborted compaction")
+
+	s.fault = nil // space freed
+	sh.mu.Lock()
+	s.maybeCompactLocked(sh)
+	sh.mu.Unlock()
+	if st := s.StatsSnapshot(); st.Compactions != 1 {
+		t.Fatalf("compactions = %d after space came back, want 1", st.Compactions)
+	}
+	wantLive("after compaction")
 }
 
 func TestDiskBudgetWatchdog(t *testing.T) {

@@ -46,8 +46,9 @@ import (
 )
 
 // ErrReadOnly is returned by mutating operations while the store is in
-// read-only mode: a flush hit ENOSPC, or the disk-budget watchdog found
-// free space below its floor. Only the watchdog's recovery leaves it.
+// read-only mode: the disk-budget watchdog found free space below its
+// floor. Only the watchdog's recovery leaves it; an ENOSPC on a flush
+// fails that write alone and does not enter it.
 // Reads keep serving; callers should answer retryable unavailability
 // (HTTP 503) rather than treating this as data loss.
 var ErrReadOnly = errors.New("store: read-only mode")
@@ -160,8 +161,8 @@ type Store struct {
 	nmu    sync.Mutex
 	byName map[string]nameEntry // live project name -> ID + sequence
 
-	// Read-only mode: entered on ENOSPC or by the disk-budget watchdog,
-	// left only by the watchdog's recovery.
+	// Read-only mode: entered and left by the disk-budget watchdog alone.
+	// An ENOSPC fails only the write that met it.
 	readOnly atomic.Bool
 
 	// Background scrubber lifecycle (StartScrubber/StopScrubber).
@@ -184,13 +185,6 @@ func (s *Store) setReadOnly(on bool) {
 	} else {
 		s.tel.SetGauge("store.read_only", 0)
 	}
-}
-
-// diskFull records an out-of-space incident and degrades to read-only
-// instead of failing every subsequent write (or crashing the process).
-func (s *Store) diskFull() {
-	s.cnt.Add(telemetry.StoreDiskFullEvents, 1)
-	s.setReadOnly(true)
 }
 
 // nameEntry is the name index's value: the live ID and the sequence of
@@ -758,12 +752,12 @@ func (s *Store) flushLocked(sh *shard, key string, buf []byte) error {
 	if s.fault.At("store.slowdisk", key) == faultinject.KindDelay {
 		s.fault.Sleep(context.Background())
 	}
-	// "store.diskfull" simulates ENOSPC: nothing lands on disk, the store
-	// degrades to read-only, and the caller must not acknowledge the
-	// write. Previously acked records are untouched.
+	// "store.diskfull" simulates ENOSPC: nothing lands on disk and the
+	// caller must not acknowledge the write. Previously acked records are
+	// untouched, and the next write tries the disk again.
 	if s.fault.At("store.diskfull", key) == faultinject.KindErr {
 		s.cnt.Add(telemetry.StoreFlushErrors, 1)
-		s.diskFull()
+		s.cnt.Add(telemetry.StoreDiskFullEvents, 1)
 		return fmt.Errorf("store: flush: %w", syscall.ENOSPC)
 	}
 	switch s.fault.At("store.flush", key) {
@@ -795,7 +789,7 @@ func (s *Store) flushLocked(sh *shard, key string, buf []byte) error {
 		sh.garbage += int64(n)
 		s.cnt.Add(telemetry.StoreFlushErrors, 1)
 		if IsDiskFull(err) {
-			s.diskFull()
+			s.cnt.Add(telemetry.StoreDiskFullEvents, 1)
 		}
 		return fmt.Errorf("store: flush: %w", err)
 	}
@@ -846,10 +840,10 @@ func (s *Store) maybeCompactLocked(sh *shard) {
 	}
 	// "store.diskfull" during compaction: building the replacement file
 	// needs transient space a full disk does not have. Abort — the old
-	// segment is untouched, every acked record still reads — and degrade
-	// to read-only instead of retrying a hopeless rewrite forever.
+	// segment is untouched, every acked record still reads — and try
+	// again at the next trigger.
 	if s.fault.At("store.diskfull", "compact:"+sh.path) == faultinject.KindErr {
-		s.diskFull()
+		s.cnt.Add(telemetry.StoreDiskFullEvents, 1)
 		return
 	}
 	// A tombstone is superseded — droppable — only once its name is live
@@ -926,7 +920,7 @@ func (s *Store) maybeCompactLocked(sh *shard) {
 	if err != nil {
 		tmp.Close()
 		if IsDiskFull(err) {
-			s.diskFull()
+			s.cnt.Add(telemetry.StoreDiskFullEvents, 1)
 		}
 		return
 	}

@@ -30,15 +30,6 @@ func BenchmarkDisabledCacheCounters(b *testing.B) {
 	}
 }
 
-func BenchmarkDisabledRecordSpan(b *testing.B) {
-	var c *Collector
-	now := time.Now()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.RecordSpan("project", "parse", now, time.Microsecond, false)
-	}
-}
-
 func BenchmarkEnabledStageObserve(b *testing.B) {
 	s := New().Stage("parse")
 	b.ReportAllocs()

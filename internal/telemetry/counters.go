@@ -65,9 +65,6 @@ const (
 	RenderBytesServed
 	RenderBytesWritten
 
-	// SpansDropped counts spans refused by the full trace buffer.
-	SpansDropped
-
 	numCounters
 )
 
@@ -112,8 +109,6 @@ var counterTable = [numCounters]struct {
 	RenderNotModified:   {"render.not_modified", func(r *Report) *int64 { return &r.Render.NotModified }},
 	RenderBytesServed:   {"render.bytes_served", func(r *Report) *int64 { return &r.Render.BytesServed }},
 	RenderBytesWritten:  {"render.bytes_written", func(r *Report) *int64 { return &r.Render.BytesWritten }},
-
-	SpansDropped: {"spans_dropped", func(r *Report) *int64 { return &r.SpansDropped }},
 }
 
 // String returns the counter's name, its field's JSON path in the report.

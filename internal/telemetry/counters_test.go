@@ -153,7 +153,6 @@ func TestChainedCountersConcurrent(t *testing.T) {
 // Add allocates nothing either.
 func TestAllocBudgetTelemetry(t *testing.T) {
 	var off *Collector
-	now := time.Now()
 	on := New()
 	blk := NewCounters(on.Counters())
 	cases := []struct {
@@ -164,7 +163,6 @@ func TestAllocBudgetTelemetry(t *testing.T) {
 		{"disabled Stage+Observe", func() {
 			off.Stage("parse").Observe(time.Microsecond, time.Microsecond, false)
 		}},
-		{"disabled RecordSpan", func() { off.RecordSpan("project", "parse", now, time.Microsecond, false) }},
 		{"enabled Add", func() { on.Add(CacheHits, 1) }},
 		{"enabled chained Add", func() { blk.Add(StoreAppends, 1) }},
 	}

@@ -12,7 +12,7 @@ import (
 // ReportSchemaVersion identifies the report layout; consumers should
 // reject versions they do not understand. Bump it whenever a field is
 // added, removed, or changes meaning.
-const ReportSchemaVersion = 5
+const ReportSchemaVersion = 6
 
 // StageReport is one stage's aggregated telemetry. Field order is part
 // of the report contract and is pinned by a golden test.
@@ -108,10 +108,10 @@ type EventCount struct {
 	Count int64  `json:"count"`
 }
 
-// Report is the machine-readable summary of one run. Its JSON field
-// order is stable (struct order) and its slices are always present (never
-// null), so two reports of the same toolchain version are structurally
-// identical — the property the -telemetry-json golden test pins.
+// Report is the machine-readable summary of a collector's tallies. Its
+// JSON field order is stable (struct order) and its slices are always
+// present (never null), so two reports of the same toolchain version are
+// structurally identical — the property the -telemetry-json golden test pins.
 type Report struct {
 	SchemaVersion int   `json:"schema_version"`
 	ElapsedUS     int64 `json:"elapsed_us"`
@@ -125,9 +125,7 @@ type Report struct {
 	Degradation []EventCount `json:"degradation"`
 	// Gauges are last-write-wins point-in-time values (health state,
 	// read-only flag), sorted by name.
-	Gauges       []EventCount `json:"gauges"`
-	SpanCount    int          `json:"span_count"`
-	SpansDropped int64        `json:"spans_dropped"`
+	Gauges []EventCount `json:"gauges"`
 }
 
 // Snapshot renders the collector's current state as a Report. Nil-safe:
@@ -151,7 +149,6 @@ func (c *Collector) Snapshot() *Report {
 	r.Faults = sortedEvents(c.faults)
 	r.Degradation = sortedEvents(c.degrade)
 	r.Gauges = sortedEvents(c.gauges)
-	r.SpanCount = len(c.spans)
 	c.mu.Unlock()
 
 	for _, s := range stages {
@@ -209,11 +206,12 @@ func (c *Collector) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteTraceJSONL writes every recorded span as one JSON object per line,
-// sorted by start offset — loadable into any trace viewer or joinable
-// with the run report by project name. Nil-safe no-op.
-func (c *Collector) WriteTraceJSONL(w io.Writer) error {
-	for _, sp := range c.Spans() {
+// WriteTraceJSONL writes spans as one JSON object per line, in the order
+// given (pipeline.Run returns them sorted by start offset, project and
+// stage) — loadable into any trace viewer or joinable with the run
+// report by project name.
+func WriteTraceJSONL(w io.Writer, spans []Span) error {
+	for _, sp := range spans {
 		data, err := json.Marshal(sp)
 		if err != nil {
 			return fmt.Errorf("telemetry: encoding span: %w", err)

@@ -2,27 +2,27 @@
 // layer: per-stage counters and duration histograms, queue-wait and
 // worker-occupancy tracking, the cache, store and render event counters
 // of one declarative table (counters.go), fault and degradation event
-// tallies, and span-style per-project traces.
+// tallies, and the Span type of per-project traces.
 //
 // The design contract is that disabled telemetry costs nothing on the hot
 // path: a nil *Collector (and the nil *Stage handles it hands out) is a
 // valid no-op — every method nil-checks its receiver and returns
 // immediately, so instrumented code carries no conditional wiring and no
 // allocation when observability is off. When enabled, the hot-path
-// operations are single atomic adds (plus one mutex-guarded append per
-// span, which happens once per project per stage, far off the per-byte
-// paths). BenchmarkDisabled* pins the disabled-path cost at the
-// single-nil-check floor; TestAllocBudgetTelemetry holds it, and every
-// counter Add, at zero allocations.
+// operations are single atomic adds. BenchmarkDisabled* pins the
+// disabled-path cost at the single-nil-check floor;
+// TestAllocBudgetTelemetry holds it, and every counter Add, at zero
+// allocations.
 //
-// A Collector is scoped to one run. Wire it through pipeline.Options,
-// read the results with Snapshot (a Report with stable, documented field
-// order), and export per-project traces with WriteTraceJSONL.
+// A Collector holds process-wide tallies only: one CLI run or one
+// daemon. Wire it through pipeline.Options and read the results with
+// Snapshot (a Report with stable, documented field order). Spans belong
+// to the run that made them: pipeline.Run returns its own in
+// Stats.Spans, and WriteTraceJSONL exports such a slice.
 package telemetry
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,7 +143,7 @@ func (s *Stage) Observe(wait, busy time.Duration, failed bool) {
 }
 
 // Span is one traced unit of work: a (project, stage) pair with its
-// start offset from the run start and its duration.
+// start offset from the start of the run that made it and its duration.
 type Span struct {
 	Project string `json:"project"`
 	Stage   string `json:"stage"`
@@ -152,16 +152,11 @@ type Span struct {
 	Err     bool   `json:"err,omitempty"`
 }
 
-// defaultSpanCap bounds the trace buffer; beyond it spans are counted as
-// dropped rather than growing memory without bound on huge corpora.
-const defaultSpanCap = 1 << 17
-
-// Collector gathers one run's telemetry. A nil *Collector is a valid
+// Collector gathers process-wide telemetry. A nil *Collector is a valid
 // no-op: every method (and every handle it returns) checks for nil, so
 // instrumented code needs no enablement flags. Construct with New.
 type Collector struct {
-	start   time.Time
-	spanCap int
+	start time.Time
 
 	mu      sync.Mutex
 	stages  []*Stage
@@ -169,7 +164,6 @@ type Collector struct {
 	faults  map[string]int64
 	degrade map[string]int64
 	gauges  map[string]int64
-	spans   []Span
 
 	counters Counters
 }
@@ -178,7 +172,6 @@ type Collector struct {
 func New() *Collector {
 	return &Collector{
 		start:   time.Now(),
-		spanCap: defaultSpanCap,
 		byName:  map[string]*Stage{},
 		faults:  map[string]int64{},
 		degrade: map[string]int64{},
@@ -233,8 +226,10 @@ func (c *Collector) SetGauge(name string, v int64) {
 	c.mu.Unlock()
 }
 
-// Fault records one injected fault firing at a site. Nil-safe. This is a
-// cold path (faults are rare by construction), so a mutex is fine.
+// Fault records one injected fault firing at a site: the observer to
+// install on an injector with SetObserver, the one tally of fired faults.
+// Nil-safe. This is a cold path (faults are rare by construction), so a
+// mutex is fine.
 func (c *Collector) Fault(site, kind string) {
 	if c == nil {
 		return
@@ -253,49 +248,4 @@ func (c *Collector) Degradation(kind string) {
 	c.mu.Lock()
 	c.degrade[kind]++
 	c.mu.Unlock()
-}
-
-// RecordSpan traces one (project, stage) execution. Spans beyond the
-// buffer cap are counted as dropped. Nil-safe.
-func (c *Collector) RecordSpan(project, stage string, start time.Time, d time.Duration, failed bool) {
-	if c == nil {
-		return
-	}
-	sp := Span{
-		Project: project,
-		Stage:   stage,
-		StartUS: start.Sub(c.start).Microseconds(),
-		DurUS:   d.Microseconds(),
-		Err:     failed,
-	}
-	c.mu.Lock()
-	if len(c.spans) >= c.spanCap {
-		c.mu.Unlock()
-		c.counters.Add(SpansDropped, 1)
-		return
-	}
-	c.spans = append(c.spans, sp)
-	c.mu.Unlock()
-}
-
-// Spans returns a copy of the recorded spans sorted by start offset,
-// then project, then stage — a deterministic order for any export.
-// Nil-safe.
-func (c *Collector) Spans() []Span {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	out := append([]Span(nil), c.spans...)
-	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].StartUS != out[j].StartUS {
-			return out[i].StartUS < out[j].StartUS
-		}
-		if out[i].Project != out[j].Project {
-			return out[i].Project < out[j].Project
-		}
-		return out[i].Stage < out[j].Stage
-	})
-	return out
 }
