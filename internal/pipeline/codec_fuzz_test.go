@@ -162,22 +162,40 @@ func overCountEntry() []byte {
 	})
 }
 
-// poolIndexEntry has a version referencing table-pool index 5 of an empty
-// pool — the out-of-range reference must be corruption, never an OOB read.
+// entryTail completes a crafted history after its versions — zero times,
+// no monthly series, zero totals — and the entry with zero measures, so
+// a crafted fault in front of it is the entry's only one.
+func entryTail(w *flatEnc) {
+	w.when(time.Time{}) // start
+	w.when(time.Time{}) // end
+	w.cnt(0, true)      // schema monthly
+	w.cnt(0, true)      // source monthly
+	w.i64(0)            // expansion total
+	w.i64(0)            // maintenance total
+	w.measures(&metrics.Measures{})
+}
+
+// poolIndexEntry has a version referencing table-pool index 5 of an
+// empty pool and is otherwise complete: the out-of-range reference must
+// be corruption, never an OOB read.
 func poolIndexEntry() []byte {
 	return flatEntry(func(w *flatEnc) {
 		emptyPool(w)
 		w.u32(2) // one version
 		w.i64(0) // seq
 		w.when(time.Time{})
-		w.u8(1)  // schema present
-		w.u32(1) // one table reference
-		w.u32(5) // pool index 5 of 0
+		w.u8(1)        // schema present
+		w.u32(1)       // one table reference
+		w.u32(5)       // pool index 5 of 0
+		w.u8(0)        // no delta
+		w.cnt(0, true) // no notes
+		entryTail(w)
 	})
 }
 
-// slabLieEntry declares zero slab totals but encodes a one-column table;
-// the exhausted column slab must read as corruption.
+// slabLieEntry declares zero slab totals but encodes a one-column table,
+// and is otherwise complete; the exhausted column slab must read as
+// corruption.
 func slabLieEntry() []byte {
 	return flatEntry(func(w *flatEnc) {
 		w.u32(1) // one pool table
@@ -186,6 +204,15 @@ func slabLieEntry() []byte {
 		}
 		w.str("t")
 		w.u32(2) // one column, but the column slab is empty
+		w.str("c")
+		w.str("int")
+		w.str("")
+		w.u8(0)
+		w.cnt(0, true) // no primary key
+		w.cnt(0, true) // no foreign keys
+		w.cnt(0, true) // no uniques
+		w.cnt(0, true) // no versions
+		entryTail(w)
 	})
 }
 
@@ -220,13 +247,14 @@ func TestCodecCraftedCorruption(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFlat hammers both flat decoders, DecodeResult and
-// DecodeRepo, with every input: mutated (truncated, bit-flipped, crafted)
-// results and snapshots. Neither may panic or slice out of bounds, and
-// any input one accepts must re-encode into a stable fixed point
-// (presence bytes, arena layout and, in a snapshot, repeated paths are
-// the only non-canonical encodings, so equality is checked
-// decode-to-decode, not byte-to-byte).
+// FuzzDecodeFlat hammers the flat decoders, DecodeResult, DecodeMeasures
+// and DecodeRepo, with every input: mutated (truncated, bit-flipped,
+// crafted) results and snapshots. None may panic or slice out of bounds,
+// DecodeMeasures must accept exactly what DecodeResult accepts and read
+// the same measures, and any input DecodeResult or DecodeRepo accepts
+// must re-encode into a stable fixed point (presence bytes, arena layout
+// and, in a snapshot, repeated paths are the only non-canonical
+// encodings, so equality is checked decode-to-decode, not byte-to-byte).
 func FuzzDecodeFlat(f *testing.F) {
 	f.Add(validEntryBytes(f))
 	f.Add(hugeCountEntry())
@@ -246,6 +274,9 @@ func FuzzDecodeFlat(f *testing.F) {
 	f.Add(withHeaderByte(repo, 24, 1)) // tag byte
 	f.Add(nanMeasureEntry(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, why := measuresParity(data); why != "" {
+			t.Fatal(why)
+		}
 		if e, err := DecodeResult(data); err == nil {
 			again, err := DecodeResult(EncodeResult(e))
 			if err != nil {

@@ -4,7 +4,6 @@ import (
 	"schemaevo/internal/history"
 	"schemaevo/internal/metrics"
 	"schemaevo/internal/schema"
-	"schemaevo/internal/sqlddl"
 	"schemaevo/internal/sqlddl/dialect"
 	"schemaevo/internal/vcs"
 )
@@ -37,18 +36,38 @@ func Extends(prevRepo, next *vcs.Repo, path string) bool {
 	return true
 }
 
-// ExtendResult re-analyzes next incrementally from a previous result:
+// ExtendResult is ExtendResultAs for a caller analyzing under the default
+// (generic) dialect selection: the result carries Fingerprint(next).
+func ExtendResult(prev *CachedResult, prevRepo, next *vcs.Repo) (res *CachedResult, ok bool) {
+	if res, ok = extend(prev, prevRepo, next); ok {
+		res.Fingerprint = Fingerprint(next)
+	}
+	return res, ok
+}
+
+// ExtendResultAs re-analyzes next incrementally from a previous result:
 // when next's DDL history extends prevRepo's, the prefix's parsed
 // schemas, deltas and notes are carried over from prev, the Reconstructor
 // is primed with the last carried-over snapshot, and only the suffix is
-// parsed and diffed. The returned result is byte-identical (through
-// EncodeResult) to a full cold analysis of next — the differential suite
-// pins this across whole corpora.
+// parsed and diffed. fingerprint is next's FingerprintDialect under the
+// caller's dialect selection — the one a full analysis of next would
+// carry, which the caller already holds — so next is not hashed again.
+// The returned result is then byte-identical (through EncodeResult) to a
+// full cold analysis of next under that selection — the differential
+// suites pin this across whole corpora and dialect selections.
 //
 // ok is false when the histories do not extend (different DDL file,
 // rewritten prefix, no DDL file at all) or the extended measures fail
 // validation; callers fall back to the full pipeline.
-func ExtendResult(prev *CachedResult, prevRepo, next *vcs.Repo) (res *CachedResult, ok bool) {
+func ExtendResultAs(prev *CachedResult, prevRepo, next *vcs.Repo, fingerprint string) (res *CachedResult, ok bool) {
+	if res, ok = extend(prev, prevRepo, next); ok {
+		res.Fingerprint = fingerprint
+	}
+	return res, ok
+}
+
+// extend is ExtendResultAs without the fingerprint.
+func extend(prev *CachedResult, prevRepo, next *vcs.Repo) (*CachedResult, bool) {
 	if prev == nil || prev.History == nil {
 		return nil, false
 	}
@@ -93,14 +112,5 @@ func ExtendResult(prev *CachedResult, prevRepo, next *vcs.Repo) (res *CachedResu
 		// proper error report.
 		return nil, false
 	}
-	fpDialect := ""
-	if h.Dialect != sqlddl.DialectGeneric {
-		fpDialect = h.Dialect.String()
-	}
-	return &CachedResult{
-		Fingerprint: FingerprintDialect(next, fpDialect),
-		Project:     next.Name,
-		History:     h,
-		Measures:    m,
-	}, true
+	return &CachedResult{Project: next.Name, History: h, Measures: m}, true
 }

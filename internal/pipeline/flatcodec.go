@@ -978,6 +978,176 @@ func DecodeResult(data []byte) (*CachedResult, error) {
 	return r, nil
 }
 
+// flatLeft is flatSlabs without the storage: how many elements of each
+// kind a measures-only walk has yet to claim.
+type flatLeft struct{ cols, strs, uniq, fks, deltas, changes, notes int }
+
+// claim takes n elements of one kind, failing where taking them from an
+// exhausted slab fails.
+func (d *flatDec) claim(left *int, n int) bool {
+	if n > *left {
+		d.fail()
+		return false
+	}
+	*left -= n
+	return true
+}
+
+// The skip walkers below read exactly what their building counterparts
+// (strsInto, table, delta, notesInto, ints, history) read, with the same
+// bounds and slab checks, and build nothing. Strings are still resolved,
+// so every arena reference is bounds-checked; resolving one allocates
+// nothing.
+
+func (d *flatDec) skipStrs(l *flatLeft) {
+	n := d.cnt(8)
+	if n < 0 || !d.claim(&l.strs, n) {
+		return
+	}
+	for i := 0; i < n; i++ {
+		d.str()
+	}
+}
+
+func (d *flatDec) skipTable(l *flatLeft) {
+	d.str()
+	if n := d.cnt(25); n >= 0 {
+		if !d.claim(&l.cols, n) {
+			return
+		}
+		for i := 0; i < n; i++ {
+			d.str()
+			d.str()
+			d.str()
+			d.u8()
+		}
+	}
+	d.skipStrs(l)
+	if n := d.cnt(24); n >= 0 {
+		if !d.claim(&l.fks, n) {
+			return
+		}
+		for i := 0; i < n; i++ {
+			d.str()
+			d.skipStrs(l)
+			d.str()
+			d.skipStrs(l)
+		}
+	}
+	if n := d.cnt(4); n >= 0 {
+		if !d.claim(&l.uniq, n) {
+			return
+		}
+		for i := 0; i < n; i++ {
+			d.skipStrs(l)
+		}
+	}
+}
+
+func (d *flatDec) skipDelta(l *flatLeft) {
+	if d.u8() == 0 || !d.claim(&l.deltas, 1) {
+		return
+	}
+	d.skipStrs(l)
+	d.skipStrs(l)
+	for i := 0; i < 6; i++ {
+		d.u64()
+	}
+	if n := d.cnt(24); n >= 0 {
+		if !d.claim(&l.changes, n) {
+			return
+		}
+		for i := 0; i < n; i++ {
+			d.str()
+			d.str()
+			d.u64()
+		}
+	}
+}
+
+func (d *flatDec) skipNotes(l *flatLeft) {
+	n := d.cnt(16)
+	if n < 0 || !d.claim(&l.notes, n) {
+		return
+	}
+	for i := 0; i < n; i++ {
+		d.u64()
+		d.str()
+	}
+}
+
+func (d *flatDec) skipInts() {
+	for n := d.cnt(8); n > 0; n-- {
+		d.u64()
+	}
+}
+
+// skipHistory walks a history section as history decodes one and reports
+// whether one is present.
+func (d *flatDec) skipHistory() bool {
+	if d.u8() == 0 {
+		return false
+	}
+	d.str()
+	d.str()
+	npool := d.total(24)
+	l := flatLeft{
+		cols: d.total(25), strs: d.total(8), uniq: d.total(4), fks: d.total(24),
+		deltas: d.total(60), changes: d.total(24), notes: d.total(16),
+	}
+	for i := 0; i < npool && d.err == nil; i++ {
+		d.skipTable(&l)
+	}
+	for nv := d.cnt(30); nv > 0 && d.err == nil; nv-- {
+		for i := 0; i < 3; i++ { // seq and time
+			d.u64()
+		}
+		if d.u8() != 0 {
+			for nt := d.total(4); nt > 0 && d.err == nil; nt-- {
+				if uint64(d.u32()) >= uint64(npool) {
+					d.fail()
+				}
+			}
+		}
+		d.skipDelta(&l)
+		d.skipNotes(&l)
+	}
+	for i := 0; i < 4; i++ { // start and end times
+		d.u64()
+	}
+	d.skipInts()
+	d.skipInts()
+	d.u64() // expansion and maintenance totals
+	d.u64()
+	return true
+}
+
+// DecodeMeasures reads only the measures of EncodeResult bytes. It
+// accepts exactly the inputs DecodeResult accepts and returns the same
+// measures, but builds no history: the history section is walked with
+// every bound and consistency check DecodeResult applies, and nothing is
+// allocated for it. Measures.Project aliases data, as in DecodeResult.
+func DecodeMeasures(data []byte) (metrics.Measures, error) {
+	d, err := flatOpen(data, flatMagic, cacheFormatVersion)
+	if err != nil {
+		return metrics.Measures{}, err
+	}
+	dia := sqlddl.DialectID(data[24])
+	if !dia.Valid() {
+		return metrics.Measures{}, fmt.Errorf("%w: dialect tag %d", errCorruptEntry, data[24])
+	}
+	d.str() // fingerprint
+	d.str() // project
+	if !d.skipHistory() && dia != sqlddl.DialectGeneric {
+		return metrics.Measures{}, fmt.Errorf("%w: dialect tag %d on history-less entry", errCorruptEntry, data[24])
+	}
+	m := d.measures()
+	if err := d.close(); err != nil {
+		return metrics.Measures{}, err
+	}
+	return m, nil
+}
+
 // DecodeRepo deserializes EncodeRepo bytes, failing on any truncation,
 // trailing garbage, version mismatch, a nonzero tag, or a magic/bounds
 // violation. Strings in the returned repo alias data, as DecodeResult's

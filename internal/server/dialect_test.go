@@ -5,6 +5,7 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"schemaevo/internal/server"
+	"schemaevo/internal/store"
 	"schemaevo/internal/telemetry"
 	"schemaevo/internal/vcs"
 )
@@ -86,5 +88,62 @@ func TestServerDialectUnknownRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("New accepted unknown dialect \"oracle\"")
+	}
+}
+
+// storedResult reopens a closed server's store directory and returns the
+// encoded result it holds for id.
+func storedResult(t *testing.T, dir, id string) []byte {
+	t.Helper()
+	st, err := store.Open(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	data, _, ok := st.Get(id)
+	if !ok {
+		t.Fatalf("store holds no result for %s", id)
+	}
+	return data
+}
+
+// TestIncrementalResultMatchesFullUnderDialectSelection: under every
+// dialect selection — "auto", an alias, a canonical name — the result an
+// incremental re-analysis stores is byte-identical to the one a full
+// analysis of the same history stores, fingerprint included. The
+// fingerprint hashes the configured selection, not the dialect the
+// history resolved to.
+func TestIncrementalResultMatchesFullUnderDialectSelection(t *testing.T) {
+	for _, sel := range []string{"auto", "pg", "mysql"} {
+		t.Run(sel, func(t *testing.T) {
+			stored := func(versions ...int) []byte {
+				dir := t.TempDir()
+				srv, hs := newService(t, server.Config{StoreDir: dir, Dialect: sel})
+				var id string
+				for i, n := range versions {
+					status, hdr, body := post(t, hs.URL, evolvingRepo("selection-project", n))
+					if status != http.StatusOK {
+						t.Fatalf("v%d: status %d, body %s", n, status, body)
+					}
+					want := "miss"
+					if i > 0 {
+						want = "incremental"
+					}
+					if got := hdr.Get("X-Cache"); got != want {
+						t.Fatalf("v%d X-Cache = %q, want %q", n, got, want)
+					}
+					id = wireID(t, body)
+				}
+				hs.Close()
+				if err := srv.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return storedResult(t, dir, id)
+			}
+			incr, full := stored(4, 8), stored(8)
+			if !bytes.Equal(incr, full) {
+				t.Fatal("incrementally analyzed result differs from the full analysis")
+			}
+		})
 	}
 }

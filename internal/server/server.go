@@ -284,10 +284,13 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	}
 
 	// Warm restart: every persisted project rejoins the aggregates from
-	// its stored result — decode only, no analysis. Entries whose result
-	// is currently unreadable (quarantined) stay out until re-analyzed on
-	// demand. The corpus and stored members load in bulk and each group
-	// sorts once.
+	// the measures of its stored result — no analysis, and no history
+	// decode, since a pattern is a function of the measures alone.
+	// Entries whose result is currently unreadable (quarantined) stay out
+	// until re-analyzed on demand. The result bytes live only for the
+	// callback, and nothing kept here aliases them: the pattern is a
+	// value, and id and name are the store's own strings. The corpus and
+	// stored members load in bulk and each group sorts once.
 	s.store.Each(func(id, name string, result []byte) {
 		if result == nil {
 			return
@@ -295,8 +298,8 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		if _, corpusOwned := s.index.Lookup(id); corpusOwned {
 			return
 		}
-		if res, err := pipeline.DecodeResult(result); err == nil {
-			s.agg.load(id, name, assignedPattern(res.Measures, s.scheme), true)
+		if m, err := pipeline.DecodeMeasures(result); err == nil {
+			s.agg.load(id, name, assignedPattern(m, s.scheme), true)
 		}
 	})
 	s.agg.sortGroups()
@@ -635,7 +638,7 @@ func (s *Server) analyze(ctx context.Context, repo *vcs.Repo, fingerprint string
 		s.cfg.Fault.Sleep(ctx)
 	}
 
-	if res, ok := s.tryExtend(repo, id); ok {
+	if res, ok := s.tryExtend(repo, fingerprint); ok {
 		if cerr := s.commit(repo, fingerprint, id, res); cerr != nil {
 			return nil, cerr
 		}
@@ -658,9 +661,9 @@ func (s *Server) analyze(ctx context.Context, repo *vcs.Repo, fingerprint string
 // nil return on any decode or precondition failure degrades silently to
 // the full pipeline — incremental analysis is an optimization, never a
 // correctness dependency.
-func (s *Server) tryExtend(next *vcs.Repo, nextID string) (*pipeline.CachedResult, bool) {
+func (s *Server) tryExtend(next *vcs.Repo, fingerprint string) (*pipeline.CachedResult, bool) {
 	prevID, ok := s.store.LatestID(next.Name)
-	if !ok || prevID == nextID {
+	if !ok || prevID == projectID(fingerprint) {
 		return nil, false
 	}
 	prevData, _, ok := s.store.Get(prevID)
@@ -682,7 +685,7 @@ func (s *Server) tryExtend(next *vcs.Repo, nextID string) (*pipeline.CachedResul
 
 	s.incrStage.Enter()
 	begin := time.Now()
-	res, ok := pipeline.ExtendResult(prevRes, prevRepo, next)
+	res, ok := pipeline.ExtendResultAs(prevRes, prevRepo, next, fingerprint)
 	busy := time.Since(begin)
 	s.incrStage.Exit()
 	s.incrStage.Observe(0, busy, !ok)

@@ -291,6 +291,88 @@ func TestQuarantineReanalyzedOnDemand(t *testing.T) {
 	}
 }
 
+// TestRestartLeavesDamagedResultOut flips one byte of one stored result
+// between restarts. The restarted server quarantines that record, leaves
+// the project out of both aggregates (they read as if it had never been
+// submitted), serves the intact projects from disk (the hot tier starts
+// empty), and re-analyzes the damaged one on its first GET, after which
+// both aggregates are back to their pre-restart bytes.
+func TestRestartLeavesDamagedResultOut(t *testing.T) {
+	repos := []*vcs.Repo{
+		evolvingRepo("intact-a", 5),
+		evolvingRepo("intact-b", 7),
+		evolvingRepo("damaged", 6), // submitted last: its result ends the segment
+	}
+	aggregates := func(base string) (stats, patterns []byte) {
+		t.Helper()
+		_, _, stats = do(t, http.MethodGet, base+"/v1/corpus/stats", nil)
+		_, _, patterns = do(t, http.MethodGet, base+"/v1/corpus/patterns", nil)
+		return stats, patterns
+	}
+	_, ref := newService(t, server.Config{})
+	for _, r := range repos[:2] {
+		submitID(t, ref.URL, r)
+	}
+	refStats, refPatterns := aggregates(ref.URL)
+
+	dir := t.TempDir()
+	first, hs1 := newService(t, server.Config{StoreDir: dir, StoreShards: 1})
+	var ids []string
+	var bodies [][]byte
+	for _, r := range repos {
+		status, _, body := post(t, hs1.URL, r)
+		if status != http.StatusOK {
+			t.Fatalf("submit %s: status %d", r.Name, status)
+		}
+		ids, bodies = append(ids, wireID(t, body)), append(bodies, body)
+	}
+	statsBefore, patternsBefore := aggregates(hs1.URL)
+	hs1.Close()
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	seg := filepath.Join(dir, "shard-000.seg")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-30] ^= 0xFF // inside the last record's body
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tel := telemetry.New()
+	second, err := server.New(context.Background(), server.Config{StoreDir: dir, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	hs2 := newTestServer(t, second)
+	if rep := tel.Snapshot(); rep.Store.Quarantined != 1 {
+		t.Fatalf("restart quarantined %d records, want 1", rep.Store.Quarantined)
+	}
+	if stats, patterns := aggregates(hs2.URL); !bytes.Equal(stats, refStats) || !bytes.Equal(patterns, refPatterns) {
+		t.Fatalf("aggregates after restart differ from a server that never stored the damaged project\n--- stats ---\n%s\n--- patterns ---\n%s", stats, patterns)
+	}
+	for i := range repos[:2] {
+		status, hdr, body := do(t, http.MethodGet, hs2.URL+"/v1/projects/"+ids[i], nil)
+		if status != http.StatusOK || hdr.Get("X-Cache") != "hit" || !bytes.Equal(body, bodies[i]) {
+			t.Fatalf("GET %s: status %d, X-Cache %q, body equal %v", repos[i].Name, status, hdr.Get("X-Cache"), bytes.Equal(body, bodies[i]))
+		}
+	}
+	if rep := tel.Snapshot(); rep.Store.HotHits != 0 || rep.Store.DiskHits != 2 {
+		t.Fatalf("first GETs after restart: %d hot hits, %d disk hits; want 0 and 2 (the hot tier starts empty)", rep.Store.HotHits, rep.Store.DiskHits)
+	}
+	status, hdr, body := do(t, http.MethodGet, hs2.URL+"/v1/projects/"+ids[2], nil)
+	if status != http.StatusOK || hdr.Get("X-Cache") != "reanalyzed" || !bytes.Equal(body, bodies[2]) {
+		t.Fatalf("GET damaged: status %d, X-Cache %q, body equal %v; want 200, reanalyzed, equal", status, hdr.Get("X-Cache"), bytes.Equal(body, bodies[2]))
+	}
+	if stats, patterns := aggregates(hs2.URL); !bytes.Equal(stats, statsBefore) || !bytes.Equal(patterns, patternsBefore) {
+		t.Fatal("aggregates after the re-analysis differ from those before the restart")
+	}
+}
+
 // TestDeleteLifecycle covers DELETE /v1/projects/{id}: a submitted
 // project disappears from every read path and the aggregates, stays
 // dead across a restart (the tombstone), corpus projects are immutable,

@@ -30,7 +30,8 @@ import (
 //
 // The header carries everything recovery needs to rebuild the in-memory
 // index (id, name, fingerprint, liveness order via seq) without decoding
-// bodies, which keeps a warm restart proportional to metadata, not data.
+// bodies. The scan still reads and CRC-checks every byte, so a warm
+// restart costs time in proportion to the data, not to the entries.
 
 // segHeader opens every shard segment file.
 const segHeader = "SEVSEG1\n"

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -276,6 +277,7 @@ func Open(cfg Config) (*Store, error) {
 		shard int
 	}
 	var all []located
+	var buf []byte // every shard is read into this buffer in turn
 	for i := 0; i < n; i++ {
 		sh := &shard{
 			byID:  map[string]*meta{},
@@ -287,7 +289,8 @@ func Open(cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 		sh.file = f
-		data, err := os.ReadFile(sh.path)
+		var data []byte
+		data, buf, err = readAll(f, buf)
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("store: %w", err)
@@ -393,6 +396,25 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
+// readAll reads the whole file f into buf, growing it only when its
+// capacity falls short, and returns the file's bytes and the buffer for
+// reuse. The scan copies out every string it keeps, so the next shard may
+// overwrite the bytes.
+func readAll(f *os.File, buf []byte) (data, grown []byte, err error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, buf, err
+	}
+	if int64(cap(buf)) < fi.Size() {
+		buf = make([]byte, fi.Size())
+	}
+	n, err := io.ReadFull(f, buf[:fi.Size()])
+	if err == io.ErrUnexpectedEOF {
+		err = nil // the file shrank since Stat: scan what is there
+	}
+	return buf[:n], buf, err
+}
+
 func sortedKeys(m map[string]bool) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -464,22 +486,11 @@ func (s *Store) Get(id string) (data []byte, tier string, ok bool) {
 		return data, "hot", true
 	}
 	s.cnt.Add(telemetry.StoreHotMisses, 1)
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	m := sh.byID[id]
-	if m == nil || sh.file == nil || !m.res.ok() {
-		sh.mu.Unlock()
+	body, _, ok := s.readResult(id, nil)
+	if !ok {
 		s.cnt.Add(telemetry.StoreDiskMisses, 1)
 		return nil, "", false
 	}
-	body, err := sh.readRecordLocked(m.res)
-	if err != nil {
-		s.quarantineLocked(sh, &m.res)
-		sh.mu.Unlock()
-		s.cnt.Add(telemetry.StoreDiskMisses, 1)
-		return nil, "", false
-	}
-	sh.mu.Unlock()
 	s.hot.put(id, body)
 	s.cnt.Add(telemetry.StoreDiskHits, 1)
 	s.cnt.Add(telemetry.StoreBytesRead, int64(len(body)))
@@ -502,12 +513,32 @@ func (s *Store) Source(id string) ([]byte, bool) {
 	if !m.src.ok() {
 		return nil, false
 	}
-	body, err := sh.readRecordLocked(m.src)
+	frame, err := sh.readFrameLocked(nil, m.src)
 	if err != nil {
 		s.quarantineLocked(sh, &m.src)
 		return nil, false
 	}
-	return body, true
+	return m.src.body(frame), true
+}
+
+// readResult reads id's result record from disk into buf, growing it only
+// when its capacity falls short, and verifies it; a record failing
+// verification is quarantined, as Get quarantines it. It returns the
+// body, a view of the frame, and the frame for reuse.
+func (s *Store) readResult(id string, buf []byte) (body, frame []byte, ok bool) {
+	sh := s.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	m := sh.byID[id]
+	if m == nil || sh.file == nil || !m.res.ok() {
+		return nil, buf, false
+	}
+	frame, err := sh.readFrameLocked(buf, m.res)
+	if err != nil {
+		s.quarantineLocked(sh, &m.res)
+		return nil, frame, false
+	}
+	return m.res.body(frame), frame, true
 }
 
 // quarantineLocked retires a record reference that failed verification:
@@ -715,8 +746,11 @@ func (s *Store) retireLocked(sh *shard, m *meta) {
 // Each calls fn for every live entry in name order, with the encoded
 // result when one is currently readable (nil otherwise — evicted in
 // memory mode, quarantined or pending on disk). It is the aggregate
-// rebuild hook a server runs at startup; reads go through the normal
-// tiers, warming the hot tier.
+// rebuild hook a server runs at startup. On disk, every result is read
+// into one reused buffer and CRC-verified, and one failing verification
+// is quarantined, as Get does; the hot tier is neither read nor filled.
+// The result bytes are valid only during fn: a caller keeping any part of
+// them copies it. In memory mode each result is read through Get.
 func (s *Store) Each(fn func(id, name string, result []byte)) {
 	s.nmu.Lock()
 	names := make([]string, 0, len(s.byName))
@@ -729,12 +763,15 @@ func (s *Store) Each(fn func(id, name string, result []byte)) {
 		ids[i] = s.byName[n].id
 	}
 	s.nmu.Unlock()
+	var frame []byte // every result is read into this buffer in turn
 	for i, id := range ids {
-		data, _, ok := s.Get(id)
-		if !ok {
-			data = nil
+		var body []byte
+		if s.dir == "" {
+			body, _, _ = s.Get(id)
+		} else {
+			body, frame, _ = s.readResult(id, frame)
 		}
-		fn(id, names[i], data)
+		fn(id, names[i], body)
 	}
 }
 
@@ -814,14 +851,9 @@ func (sh *shard) readFrameLocked(buf []byte, r ref) ([]byte, error) {
 	return buf, nil
 }
 
-// readRecordLocked reads and verifies one framed record into a buffer of
-// its own, returning the body.
-func (sh *shard) readRecordLocked(r ref) ([]byte, error) {
-	frame, err := sh.readFrameLocked(nil, r)
-	if err != nil {
-		return nil, err
-	}
-	return frame[r.bodyOff-r.start : r.bodyOff-r.start+r.bodyLen], nil
+// body returns the record's body within its frame.
+func (r ref) body(frame []byte) []byte {
+	return frame[r.bodyOff-r.start : r.bodyOff-r.start+r.bodyLen]
 }
 
 // maybeCompactLocked rewrites the shard's segment once garbage exceeds
@@ -891,7 +923,7 @@ func (s *Store) maybeCompactLocked(sh *shard) {
 				s.quarantineLocked(sh, which)
 				continue
 			}
-			body := frame[which.bodyOff-which.start : which.bodyOff-which.start+which.bodyLen]
+			body := which.body(frame)
 			kind := recSource
 			if which == &m.res {
 				kind = recResult

@@ -350,6 +350,66 @@ func TestEachIteratesNameOrder(t *testing.T) {
 	}
 }
 
+// TestEachReadsDiskAndQuarantines: after a reopen, Each reads every
+// result from disk without filling the hot tier, and a result record that
+// fails verification by then is quarantined as Get would: Each passes nil
+// for it, and the entry no longer serves a result.
+func TestEachReadsDiskAndQuarantines(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{}
+	for i := 0; i < 4; i++ {
+		e := entry(i, 1)
+		mustPut(t, s, e)
+		want[e.ID] = e.Result
+	}
+	s.Close()
+
+	s, err = Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	damaged := entry(2, 1).ID
+	for pass := 0; pass < 2; pass++ {
+		seen := 0
+		s.Each(func(id, name string, result []byte) {
+			seen++
+			if pass == 1 && id == damaged {
+				if result != nil {
+					t.Fatalf("Each passed the damaged result of %s", id)
+				}
+				return
+			}
+			if !bytes.Equal(result, want[id]) {
+				t.Fatalf("pass %d: Each(%s) = %q, want %q", pass, id, result, want[id])
+			}
+		})
+		if seen != len(want) {
+			t.Fatalf("pass %d: Each visited %d entries, want %d", pass, seen, len(want))
+		}
+		st := s.StatsSnapshot()
+		if st.HotEntries != 0 {
+			t.Fatalf("pass %d: Each left %d results in the hot tier, want 0", pass, st.HotEntries)
+		}
+		if st.Quarantined != int64(pass) {
+			t.Fatalf("pass %d: %d records quarantined, want %d", pass, st.Quarantined, pass)
+		}
+		if pass == 0 {
+			flipResultByte(t, s, damaged)
+		}
+	}
+	if _, _, ok := s.Get(damaged); ok {
+		t.Fatal("quarantined result still served")
+	}
+	if st := s.StatsSnapshot(); st.MissingResults != 1 {
+		t.Fatalf("MissingResults = %d, want 1", st.MissingResults)
+	}
+}
+
 func TestCompactionReclaimsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	// A tiny compaction floor so churn triggers it quickly.
