@@ -13,9 +13,12 @@
 //	schemaevod -store-dir /var/lib/schemaevo  # persistent project store (survives restarts)
 //	schemaevod -store-shards 16 -hot-bytes 67108864
 //	schemaevod -render-bytes 134217728        # 128 MiB pre-rendered response cache
-//	schemaevod -scrub-interval 1m -disk-low 104857600  # self-healing knobs
+//	schemaevod -scrub-interval 1m             # self-healing: scrub, quarantine, repair
 //	schemaevod -max-concurrent 8 -request-timeout 10s
 //	schemaevod -fault-seed 7 -fault-rate 0.2  # chaos mode
+//
+// A write that meets a full disk (ENOSPC) fails alone with 503 +
+// Retry-After and is not acknowledged; reads and other writes carry on.
 //
 // On SIGINT/SIGTERM the server drains: in-flight requests complete, new
 // ones are answered 503 + Retry-After, and the process exits 0 once idle
@@ -59,7 +62,6 @@ type options struct {
 	retryAfter     time.Duration
 	drainTimeout   time.Duration
 	scrubInterval  time.Duration
-	diskLow        int64
 	faultSeed      int64
 	faultRate      float64
 	faultSites     string
@@ -85,7 +87,6 @@ func main() {
 	flag.DurationVar(&o.retryAfter, "retry-after", time.Second, "backoff hint advertised on 429/503 responses")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 	flag.DurationVar(&o.scrubInterval, "scrub-interval", 30*time.Second, "background store-scrubber pass interval (0 disables; with -store-dir)")
-	flag.Int64Var(&o.diskLow, "disk-low", 0, "free-space floor in bytes: below it the store flips read-only until space recovers (0 disables)")
 	flag.Int64Var(&o.faultSeed, "fault-seed", 0, "chaos mode: inject deterministic faults with this seed (0 disables)")
 	flag.Float64Var(&o.faultRate, "fault-rate", 0.05, "chaos mode: fraction of fault sites that fire (with -fault-seed)")
 	flag.StringVar(&o.faultSites, "fault-sites", "", "chaos mode: comma-separated site allowlist (empty = every site)")
@@ -166,7 +167,6 @@ func run(o options) error {
 		RenderBytes:    o.renderBytes,
 		RetryAfter:     o.retryAfter,
 		ScrubInterval:  o.scrubInterval,
-		DiskLowBytes:   o.diskLow,
 		Telemetry:      telemetry.New(),
 		Fault:          fault,
 	})

@@ -3,6 +3,7 @@ package diff
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"schemaevo/internal/schema"
@@ -15,7 +16,8 @@ import (
 //	go test -fuzz=FuzzDiff ./internal/diff
 //
 // Without -fuzz the seeds run as a regular test. The checked invariants
-// are the accounting identities the metrics layer relies on.
+// are the accounting identities the metrics layer relies on, plus the
+// inversion relation between Schemas(a, b) and Schemas(b, a).
 func FuzzDiff(f *testing.F) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*", "*.sql"))
 	if err != nil {
@@ -58,6 +60,20 @@ func FuzzDiff(f *testing.F) {
 			t.Fatalf("kind counters sum to %d, total %d", counted, d.Total())
 		}
 
+		// Inversion: diffing the other way round mirrors every count —
+		// what one direction births or injects, the other deletes or
+		// ejects — and swaps the added and dropped table sets.
+		inv := Schemas(newS, oldS)
+		if inv.NBornWithTable != d.NDeletedWithTable || inv.NDeletedWithTable != d.NBornWithTable ||
+			inv.NInjected != d.NEjected || inv.NEjected != d.NInjected ||
+			inv.NTypeChanged != d.NTypeChanged || inv.NKeyChanged != d.NKeyChanged {
+			t.Fatalf("inverse diff does not mirror:\n  a→b %+v\n  b→a %+v", d, inv)
+		}
+		if !sameSet(inv.TablesAdded, d.TablesDropped) || !sameSet(inv.TablesDropped, d.TablesAdded) {
+			t.Fatalf("inverse diff swaps tables wrongly: a→b added %v dropped %v, b→a added %v dropped %v",
+				d.TablesAdded, d.TablesDropped, inv.TablesAdded, inv.TablesDropped)
+		}
+
 		// Self-diff must be empty: a schema never differs from itself.
 		if self := Schemas(newS, newS); !self.IsZero() {
 			t.Fatalf("self-diff not zero: %+v", self)
@@ -85,4 +101,12 @@ func FuzzDiff(f *testing.F) {
 			t.Fatalf("death delta inconsistent: %+v vs %d attrs", death, newS.AttributeCount())
 		}
 	})
+}
+
+// sameSet reports whether a and b hold the same names, in any order.
+func sameSet(a, b []string) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
 }

@@ -64,13 +64,6 @@ func decodeBatchLine(line []byte) (*vcs.Repo, error) {
 
 // handleBatch is POST /v1/projects:batch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if s.store.ReadOnly() {
-		// Refuse the whole stream up front — every line is a write. A
-		// read-only flip mid-stream surfaces as per-line errors instead
-		// (the submit path propagates the store's refusal).
-		s.writeReadOnly(w)
-		return
-	}
 	maxLine := s.cfg.MaxLineBytes
 	if maxLine <= 0 {
 		maxLine = 4 << 20

@@ -207,7 +207,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 
 	// New traffic is refused with 503 + Retry-After on every endpoint.
-	for _, path := range []string{"/healthz", "/v1/corpus/stats", "/metrics"} {
+	for _, path := range []string{"/healthz", "/readyz", "/v1/corpus/stats", "/metrics"} {
 		status, hdr, body := do(t, http.MethodGet, hs.URL+path, nil)
 		if status != http.StatusServiceUnavailable {
 			t.Fatalf("GET %s during drain: status %d, want 503", path, status)

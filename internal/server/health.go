@@ -7,15 +7,16 @@ package server
 //	degraded → serving, but impaired: stored projects await repair
 //	           (quarantined results the scrubber has not healed yet) or
 //	           the analysis workers are saturated
-//	read-only→ the store refuses durable writes (the disk watchdog saw
-//	           free space below its floor); reads keep serving,
-//	           write endpoints answer 503 + Retry-After
 //	draining → lame-duck shutdown; every request is answered 503 by the
 //	           drain gate before any handler runs
 //
+// A full disk is not a state: a write whose flush meets ENOSPC fails on
+// its own with 503 + Retry-After (writeDiskFull), and every other request
+// is served as before.
+//
 // GET /healthz is liveness plus the full picture (always 200 while the
 // process serves; the body carries the state). GET /readyz is the routing
-// signal: 200 for healthy/degraded, 503 for read-only/draining.
+// signal: 200 for healthy/degraded, 503 while draining.
 
 import (
 	"context"
@@ -32,7 +33,6 @@ type HealthState int
 const (
 	StateHealthy HealthState = iota
 	StateDegraded
-	StateReadOnly
 	StateDraining
 )
 
@@ -42,30 +42,25 @@ func (st HealthState) String() string {
 		return "healthy"
 	case StateDegraded:
 		return "degraded"
-	case StateReadOnly:
-		return "read-only"
 	case StateDraining:
 		return "draining"
 	}
 	return fmt.Sprintf("HealthState(%d)", int(st))
 }
 
-// healthState computes the current state with its reasons and publishes
-// the health gauge (0 healthy … 3 draining).
-func (s *Server) healthState() (HealthState, []string) {
-	st := StateHealthy
-	var reasons []string
+// healthState computes the current state with its reasons and the count
+// of stored projects awaiting repair, from one store snapshot, and
+// publishes the health gauge (0 healthy … 2 draining).
+func (s *Server) healthState() (st HealthState, reasons []string, pending int) {
+	pending = s.store.StatsSnapshot().MissingResults
 	switch {
 	case s.draining.Load():
 		st = StateDraining
 		reasons = append(reasons, "drain in progress")
-	case s.store.ReadOnly():
-		st = StateReadOnly
-		reasons = append(reasons, "store refuses writes (free disk below the floor)")
 	default:
-		if missing := s.store.StatsSnapshot().MissingResults; missing > 0 {
+		if pending > 0 {
 			st = StateDegraded
-			reasons = append(reasons, fmt.Sprintf("%d stored projects await repair", missing))
+			reasons = append(reasons, fmt.Sprintf("%d stored projects await repair", pending))
 		}
 		if len(s.sem) == cap(s.sem) {
 			st = StateDegraded
@@ -73,13 +68,13 @@ func (s *Server) healthState() (HealthState, []string) {
 		}
 	}
 	s.tel.SetGauge("health.state", int64(st))
-	return st, reasons
+	return st, reasons, pending
 }
 
 // HealthState returns the current state (recomputed, gauge published) —
 // the programmatic twin of /healthz for embedding callers and tests.
 func (s *Server) HealthState() HealthState {
-	st, _ := s.healthState()
+	st, _, _ := s.healthState()
 	return st
 }
 
@@ -89,7 +84,6 @@ type healthzWire struct {
 	Status         string   `json:"status"`
 	Projects       int      `json:"projects"`
 	Stored         int      `json:"stored"`
-	ReadOnly       bool     `json:"read_only"`
 	PendingRepairs int      `json:"pending_repairs"`
 	QueueDepth     int      `json:"queue_depth"`
 	Reasons        []string `json:"reasons,omitempty"`
@@ -100,14 +94,12 @@ type healthzWire struct {
 // the body; routing decisions belong to /readyz. (While draining, the
 // drain gate answers 503 before this handler runs.)
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st, reasons := s.healthState()
-	stats := s.store.StatsSnapshot()
+	st, reasons, pending := s.healthState()
 	writeJSON(w, http.StatusOK, healthzWire{
 		Status:         st.String(),
 		Projects:       s.corpus.Len(),
 		Stored:         s.store.Len(),
-		ReadOnly:       stats.ReadOnly,
-		PendingRepairs: stats.MissingResults,
+		PendingRepairs: pending,
 		QueueDepth:     len(s.sem),
 		Reasons:        reasons,
 	})
@@ -122,12 +114,11 @@ type readyzWire struct {
 
 // handleReadyz is GET /readyz, the routing signal: 200 while healthy or
 // degraded (an impaired replica still serves correctly), 503 + Retry-
-// After in read-only mode (a naive balancer must stop sending writes;
-// deployments that can route reads separately should key off the
-// /healthz state instead) — and 503 from the drain gate while draining.
+// After while draining — answered by the drain gate, or here when the
+// drain began after the gate let the probe through.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	st, reasons := s.healthState()
-	if st >= StateReadOnly {
+	st, reasons, _ := s.healthState()
+	if st == StateDraining {
 		w.Header().Set("Retry-After", s.retryAfterSeconds())
 		writeJSON(w, http.StatusServiceUnavailable, readyzWire{Status: "unavailable", State: st.String(), Reasons: reasons})
 		return
@@ -141,8 +132,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // semaphore-bounded) and write the result back.
 func (s *Server) scrubConfig() store.ScrubConfig {
 	return store.ScrubConfig{
-		Interval:       s.cfg.ScrubInterval,
-		DiskFloorBytes: s.cfg.DiskLowBytes,
+		Interval: s.cfg.ScrubInterval,
 		Repair: func(ctx context.Context, id string) error {
 			_, ok, err := s.reanalyze(ctx, id)
 			if err != nil {
@@ -163,10 +153,10 @@ func (s *Server) ScrubNow(ctx context.Context) store.ScrubReport {
 	return s.store.ScrubOnce(ctx, s.scrubConfig())
 }
 
-// writeReadOnly answers a write request while the store cannot accept
-// durable writes: 503 + Retry-After — the same shape as the drain gate,
-// so retrying clients converge once space recovers.
-func (s *Server) writeReadOnly(w http.ResponseWriter) {
+// writeDiskFull answers a write whose flush met a full disk: it did not
+// land, so 503 + Retry-After — the same shape as the drain gate, so
+// retrying clients converge once space recovers.
+func (s *Server) writeDiskFull(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", s.retryAfterSeconds())
-	writeError(w, http.StatusServiceUnavailable, "store is in read-only mode", nil)
+	writeError(w, http.StatusServiceUnavailable, "store is out of disk space", nil)
 }

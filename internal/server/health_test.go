@@ -1,5 +1,5 @@
-// Black-box tests of the health state machine, the read-only write
-// gate, and the self-healing scrub-and-repair loop — all driven over
+// Black-box tests of the health state machine, the per-write full-disk
+// refusal, and the self-healing scrub-and-repair loop — all driven over
 // HTTP, with deterministic chaos from internal/faultinject.
 package server_test
 
@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -24,7 +23,6 @@ type healthzBody struct {
 	Status         string   `json:"status"`
 	Projects       int      `json:"projects"`
 	Stored         int      `json:"stored"`
-	ReadOnly       bool     `json:"read_only"`
 	PendingRepairs int      `json:"pending_repairs"`
 	QueueDepth     int      `json:"queue_depth"`
 	Reasons        []string `json:"reasons"`
@@ -66,7 +64,7 @@ func TestHealthzReadyzHealthy(t *testing.T) {
 	if status != http.StatusOK || hz.Status != "healthy" {
 		t.Fatalf("healthz = %d %q, want 200 healthy", status, hz.Status)
 	}
-	if hz.ReadOnly || hz.PendingRepairs != 0 || len(hz.Reasons) != 0 {
+	if hz.PendingRepairs != 0 || len(hz.Reasons) != 0 {
 		t.Fatalf("healthy server reports pressure: %+v", hz)
 	}
 	status, _, rz := getReadyz(t, hs.URL)
@@ -75,77 +73,10 @@ func TestHealthzReadyzHealthy(t *testing.T) {
 	}
 }
 
-// readOnlyService starts a server whose disk watchdog floor no
-// filesystem can meet, so the first ScrubNow flips the store read-only.
-// Skips where the platform has no free-space probe.
-func readOnlyService(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server, func()) {
-	t.Helper()
-	cfg.StoreDir = t.TempDir()
-	cfg.DiskLowBytes = 1 << 62
-	srv, hs := newService(t, cfg)
-	flip := func() {
-		t.Helper()
-		if rep := srv.ScrubNow(context.Background()); !rep.ReadOnly {
-			if rep.FreeBytes < 0 {
-				t.Skip("no free-space probe on this platform")
-			}
-			t.Fatalf("watchdog left the store writable at %d free bytes", rep.FreeBytes)
-		}
-	}
-	return srv, hs, flip
-}
-
-// TestReadOnlyModeOverHTTP drives the disk-budget degradation end to
-// end: once the watchdog finds free space below its floor the store is
-// read-only, every write endpoint refuses with 503 + Retry-After, /readyz
-// goes unavailable, /healthz stays 200 and says why — and reads keep
-// serving, a project acked before the flip included.
-func TestReadOnlyModeOverHTTP(t *testing.T) {
-	srv, hs, flip := readOnlyService(t, server.Config{Corpus: testCorpus(t)})
-	id := submitID(t, hs.URL, submitRepo())
-	flip()
-
-	for _, req := range []struct{ method, path string }{
-		{http.MethodPost, "/v1/projects"},
-		{http.MethodPost, "/v1/projects:batch"},
-		{http.MethodDelete, "/v1/projects/" + id},
-	} {
-		status, hdr, _ := do(t, req.method, hs.URL+req.path, []byte("{}"))
-		if status != http.StatusServiceUnavailable {
-			t.Fatalf("%s %s in read-only mode: status %d, want 503", req.method, req.path, status)
-		}
-		if hdr.Get("Retry-After") == "" {
-			t.Fatalf("%s %s: 503 without Retry-After", req.method, req.path)
-		}
-	}
-
-	// Probes: readyz flips, healthz stays up and explains.
-	status, hdr, rz := getReadyz(t, hs.URL)
-	if status != http.StatusServiceUnavailable || rz.Status != "unavailable" || rz.State != "read-only" {
-		t.Fatalf("readyz = %d %+v, want 503 unavailable/read-only", status, rz)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("readyz 503 without Retry-After")
-	}
-	status, hz := getHealthz(t, hs.URL)
-	if status != http.StatusOK || hz.Status != "read-only" || !hz.ReadOnly || len(hz.Reasons) != 1 {
-		t.Fatalf("healthz = %d %+v, want 200 read-only with its reason", status, hz)
-	}
-	if srv.HealthState() != server.StateReadOnly {
-		t.Fatalf("HealthState() = %v, want read-only", srv.HealthState())
-	}
-
-	// Reads keep serving: the stored project, the corpus, the metrics.
-	for _, path := range []string{"/v1/projects/" + id, "/v1/corpus/stats", "/metrics"} {
-		if status, _, _ := do(t, http.MethodGet, hs.URL+path, nil); status != http.StatusOK {
-			t.Fatalf("GET %s in read-only mode: status %d, want 200", path, status)
-		}
-	}
-}
-
 // TestDiskFullRefusesOnlyItsWrite: an ENOSPC answers its submission 503
 // + Retry-After (never acked) and nothing more. The server stays healthy
-// and writable, so a later submission whose write finds room is acked.
+// and writable, so a later submission whose write finds room is acked,
+// and every acked project still reads 200 after the refusals.
 func TestDiskFullRefusesOnlyItsWrite(t *testing.T) {
 	fault := faultinject.New(faultinject.Config{
 		Seed: 1, Rate: 0.5,
@@ -154,6 +85,7 @@ func TestDiskFullRefusesOnlyItsWrite(t *testing.T) {
 	})
 	srv, hs := newService(t, server.Config{StoreDir: t.TempDir(), Fault: fault})
 	refused, ackedAfter := 0, 0
+	var acked []string
 	for i := 0; i < 16; i++ {
 		status, hdr, body := post(t, hs.URL, distinctRepo(i))
 		switch {
@@ -163,6 +95,13 @@ func TestDiskFullRefusesOnlyItsWrite(t *testing.T) {
 			if refused > 0 {
 				ackedAfter++
 			}
+			var wire struct {
+				ID string `json:"id"`
+			}
+			if err := json.Unmarshal(body, &wire); err != nil {
+				t.Fatal(err)
+			}
+			acked = append(acked, wire.ID)
 		default:
 			t.Fatalf("submit %d: status %d, body %s; want 200 or 503 + Retry-After", i, status, body)
 		}
@@ -175,6 +114,11 @@ func TestDiskFullRefusesOnlyItsWrite(t *testing.T) {
 	}
 	if got := srv.Stored(); got != 16-refused {
 		t.Fatalf("Stored = %d, want %d (every ack, no refusal)", got, 16-refused)
+	}
+	for _, id := range acked {
+		if status, _, _ := do(t, http.MethodGet, hs.URL+"/v1/projects/"+id, nil); status != http.StatusOK {
+			t.Fatalf("GET %s after a refused write: status %d, want 200", id, status)
+		}
 	}
 }
 
@@ -327,12 +271,33 @@ func TestBackgroundScrubberHealsService(t *testing.T) {
 	}
 }
 
-// TestBatchReadOnlyMidStream flips the store read-only between two batch
-// lines — the disk watchdog runs while the stream is open — and asserts
-// the first line is acked, the second is an error line that did not
-// land, and the stream still terminates with a well-formed summary.
-func TestBatchReadOnlyMidStream(t *testing.T) {
-	srv, hs, flip := readOnlyService(t, server.Config{})
+// TestBatchDiskFullMidStream runs a batch whose second line meets a full
+// disk: a "store.diskfull" plan spares line 1's project ID and fires on
+// line 2's. The first line is acked, the second is an error line that
+// did not land, and the stream still terminates with a well-formed
+// summary.
+func TestBatchDiskFullMidStream(t *testing.T) {
+	// Content-hash IDs of the two lines, from a throwaway service.
+	_, probe := newService(t, server.Config{})
+	spared, full := submitID(t, probe.URL, distinctRepo(0)), submitID(t, probe.URL, distinctRepo(1))
+	plan := func(seed int64) *faultinject.Injector {
+		return faultinject.New(faultinject.Config{
+			Seed: seed, Rate: 0.5,
+			Kinds: []faultinject.Kind{faultinject.KindErr},
+			Sites: []string{"store.diskfull"},
+		})
+	}
+	seed := int64(1)
+	for ; seed < 64; seed++ {
+		fi := plan(seed)
+		if fi.At("store.diskfull", spared) != faultinject.KindErr && fi.At("store.diskfull", full) == faultinject.KindErr {
+			break
+		}
+	}
+	if seed == 64 {
+		t.Fatal("setup: no seed spares line 1 and fills the disk for line 2")
+	}
+	srv, hs := newService(t, server.Config{StoreDir: t.TempDir(), Fault: plan(seed)})
 	pr, pw := io.Pipe()
 	defer pw.Close()
 	sendLine := func(i int) {
@@ -374,13 +339,12 @@ func TestBatchReadOnlyMidStream(t *testing.T) {
 		return l
 	}
 	if l := next(); l.Status != "ok" {
-		t.Fatalf("line 1 before the flip: %+v, want ok", l)
+		t.Fatalf("line 1 with room on disk: %+v, want ok", l)
 	}
 
-	flip()
 	sendLine(1)
 	if l := next(); l.Status != "error" || l.Error == "" {
-		t.Fatalf("line 2 after the flip: %+v, want an error line with its reason", l)
+		t.Fatalf("line 2 on a full disk: %+v, want an error line with its reason", l)
 	}
 	pw.Close()
 	if sum := next(); sum.Status != "summary" || sum.Lines != 2 || sum.OK != 1 || sum.Errors != 1 {

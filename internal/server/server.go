@@ -118,25 +118,18 @@ type Config struct {
 	Telemetry *telemetry.Collector
 	// Fault injects deterministic chaos into the handler path (site
 	// "server.submit"), the store ("store.flush", "store.scrub",
-	// "store.diskfull", "store.slowdisk"), and the pipeline/cache sites of
-	// submitted analyses. nil disables injection. Startup corpus analysis
+	// "store.diskfull"), and the pipeline/cache sites of submitted
+	// analyses. nil disables injection. Startup corpus analysis
 	// is always fault-free. New joins the injector to the server's
 	// collector, so /metrics counts every fault that fires.
 	Fault *faultinject.Injector
 	// ScrubInterval enables the background store scrubber: every interval
 	// it CRC-verifies stored records ahead of demand, quarantines latent
 	// corruption, repairs affected projects by re-analysis from their
-	// persisted source snapshots, schedules compaction, and runs the
-	// disk-budget watchdog. <= 0 disables the background loop (ScrubNow
-	// stays available for on-demand passes).
+	// persisted source snapshots, and schedules compaction. <= 0
+	// disables the background loop (ScrubNow stays available for
+	// on-demand passes).
 	ScrubInterval time.Duration
-	// DiskLowBytes is the disk-budget watchdog's free-space floor: while
-	// the store directory's filesystem has less available, the store
-	// degrades to read-only (write endpoints answer 503 + Retry-After,
-	// reads keep serving) instead of crashing into ENOSPC, recovering once
-	// free space climbs back above twice the floor. <= 0 disables the
-	// watchdog.
-	DiskLowBytes int64
 	// RenderBytes caps the pre-rendered response cache (the zero-copy
 	// serving tier: each project's wire JSON rendered once into an
 	// immutable []byte and served with a single write). 0 selects 64 MiB;
@@ -439,8 +432,8 @@ func (s *Server) requestTimeout() time.Duration {
 // 1, the header's granularity). The hint is adaptive: the configured base
 // scales with current pressure — busy workers plus callers blocked on the
 // semaphore, relative to capacity — clamped to [base, 8×base]. An idle
-// server hints the base so transient rejections (drain races, read-only
-// blips) retry promptly; a saturated server with a deep waiter backlog
+// server hints the base so transient rejections (drain races, a full
+// disk) retry promptly; a saturated server with a deep waiter backlog
 // tells clients to stay away up to 8× longer, spreading the retry storm
 // instead of synchronizing it.
 func (s *Server) retryAfterSeconds() string {
@@ -476,10 +469,6 @@ const maxBodyPresize = 64 << 10
 // incrementally when the store holds the project's previous version,
 // bounded by the worker semaphore — and return the pattern-study result.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.store.ReadOnly() {
-		s.writeReadOnly(w)
-		return
-	}
 	maxBody := s.cfg.MaxBodyBytes
 	if maxBody <= 0 {
 		maxBody = 32 << 20
@@ -769,12 +758,10 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusTooManyRequests, errSaturated.Error(), nil)
 		return
 	}
-	if errors.Is(err, store.ErrReadOnly) || store.IsDiskFull(err) {
-		// The store flipped read-only mid-request (the endpoint gate passed
-		// before the flip) or the disk is full: the write did not land,
-		// so the client must retry — same contract as being gated up
-		// front.
-		s.writeReadOnly(w)
+	if store.IsDiskFull(err) {
+		// The disk is full: the write did not land, so the client must
+		// retry.
+		s.writeDiskFull(w)
 		return
 	}
 	var ae *analysisError
@@ -970,10 +957,6 @@ type deleteWire struct {
 // from the store (tombstoned on disk, gone from every tier and the
 // aggregates). Corpus projects are immutable — 403.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if s.store.ReadOnly() {
-		s.writeReadOnly(w)
-		return
-	}
 	id := r.PathValue("id")
 	if _, ok := s.index.Lookup(id); ok {
 		writeError(w, http.StatusForbidden, "corpus projects are immutable", nil)
@@ -982,7 +965,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	deleted, derr := s.store.Delete(id)
 	if derr != nil {
 		// The tombstone did not land and the entry stays live: 503 when
-		// the disk is full or read-only, 500 otherwise — never "deleted".
+		// the disk is full, 500 otherwise — never "deleted".
 		s.writeSubmitError(w, derr)
 		return
 	}

@@ -56,6 +56,15 @@ func (h *hotTier) get(id string) ([]byte, bool) {
 	return el.Value.(*hotEntry).data, true
 }
 
+// has reports whether id is in the tier without touching its recency,
+// so a health probe leaves the eviction order as the reads made it.
+func (h *hotTier) has(id string) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	_, ok := h.byID[id]
+	return ok
+}
+
 func (h *hotTier) put(id string, data []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -9,15 +9,13 @@ package store
 // entries that lost their result to a repair callback so they return to
 // service without operator action. A pass also gives each shard a
 // write-independent compaction opportunity (quarantining grows garbage,
-// and an idle store would otherwise never reach a compaction trigger) and
-// runs the disk-budget watchdog that degrades the store to read-only
-// before ENOSPC can tear a write.
+// and an idle store would otherwise never reach a compaction trigger).
 //
-// Fault sites: "store.scrub" (KindErr skips an entry's verification for
-// one pass; KindDelay stalls it; KindCorrupt — keyed id@seq — makes the
-// scrubber treat the result record as latently corrupt, the deterministic
-// chaos hook the self-healing tests drive), plus "store.slowdisk"
-// (KindDelay, a slow device on the scrub read path).
+// Fault site: "store.scrub" (KindErr skips an entry's verification for
+// one pass; KindDelay stalls it, a slow device on the scrub read path;
+// KindCorrupt — keyed id@seq — makes the scrubber treat the result record
+// as latently corrupt, the deterministic chaos hook the self-healing
+// tests drive).
 
 import (
 	"context"
@@ -42,17 +40,9 @@ type ScrubConfig struct {
 	// verification walk — for each live entry whose source snapshot is
 	// readable but whose result is not (quarantined during this pass or
 	// any time before). It should re-analyze the project and write the
-	// result back with PutResult. Repairs are skipped in read-only mode.
+	// result back with PutResult. A write-back that fails (a full disk,
+	// say) counts the entry as RepairFailed; the next pass retries it.
 	Repair func(ctx context.Context, id string) error
-	// DiskFloorBytes enables the disk-budget watchdog: when the segment
-	// directory's filesystem has fewer free bytes, the store flips to
-	// read-only; it becomes writable again once free space recovers to
-	// twice the floor (hysteresis, so a store hovering at the floor does
-	// not flap). <= 0 disables.
-	DiskFloorBytes int64
-	// FreeSpace overrides the free-space probe for tests; nil selects the
-	// platform's statfs (watchdog disabled where unsupported).
-	FreeSpace func(dir string) (int64, error)
 }
 
 // ScrubReport summarizes one pass.
@@ -66,20 +56,14 @@ type ScrubReport struct {
 	// error, or no callback configured while repairs were needed).
 	Repaired     int
 	RepairFailed int
-	// FreeBytes is the watchdog's last probe, -1 when disabled/unknown.
-	FreeBytes int64
-	// ReadOnly is the store's mode as the pass ended.
-	ReadOnly bool
 }
 
-// ScrubOnce runs one full scrub pass synchronously: watchdog, per-shard
+// ScrubOnce runs one full scrub pass synchronously: per-shard
 // verification walk, compaction opportunity, then repairs. It is the
 // deterministic entry point tests (and the server's manual trigger) use;
 // StartScrubber runs the same pass on a timer.
 func (s *Store) ScrubOnce(ctx context.Context, cfg ScrubConfig) ScrubReport {
-	rep := ScrubReport{FreeBytes: -1}
-	s.checkDiskBudget(cfg, &rep)
-
+	var rep ScrubReport
 	pace := cfg.Pace
 	if pace == 0 {
 		pace = 500 * time.Microsecond
@@ -121,15 +105,10 @@ func (s *Store) ScrubOnce(ctx context.Context, cfg ScrubConfig) ScrubReport {
 	}
 
 	// Repairs run outside every lock: the callback re-enters the store
-	// (Source, PutResult) and typically a whole analysis pipeline. In
-	// read-only mode the write-back cannot land, so don't burn the work.
+	// (Source, PutResult) and typically a whole analysis pipeline.
 	for _, id := range repairIDs {
 		if ctx.Err() != nil {
 			break
-		}
-		if s.ReadOnly() {
-			rep.RepairFailed++
-			continue
 		}
 		// Cheapest repair first: only the durable record rotted — when the
 		// hot tier still holds the result, rewriting it restores durability
@@ -154,7 +133,6 @@ func (s *Store) ScrubOnce(ctx context.Context, cfg ScrubConfig) ScrubReport {
 	}
 
 	s.cnt.Add(telemetry.StoreScrubPasses, 1)
-	rep.ReadOnly = s.ReadOnly()
 	return rep
 }
 
@@ -175,9 +153,6 @@ func (s *Store) verifyEntry(ctx context.Context, sh *shard, id string, rep *Scru
 		// than quarantining records that may be perfectly healthy.
 		return false
 	case faultinject.KindDelay:
-		s.fault.Sleep(ctx)
-	}
-	if s.fault.At("store.slowdisk", "scrub:"+id) == faultinject.KindDelay {
 		s.fault.Sleep(ctx)
 	}
 	if m.src.ok() {
@@ -221,34 +196,9 @@ func (s *Store) resultReadable(id string) bool {
 		return false
 	}
 	if sh.file == nil {
-		_, ok := s.hot.get(id)
-		return ok
+		return s.hot.has(id)
 	}
 	return m.res.ok()
-}
-
-// checkDiskBudget runs the watchdog: degrade to read-only below the
-// floor, recover at twice the floor.
-func (s *Store) checkDiskBudget(cfg ScrubConfig, rep *ScrubReport) {
-	if cfg.DiskFloorBytes <= 0 || s.dir == "" {
-		return
-	}
-	probe := cfg.FreeSpace
-	if probe == nil {
-		probe = freeBytes
-	}
-	free, err := probe(s.dir)
-	if err != nil {
-		return
-	}
-	rep.FreeBytes = free
-	s.tel.SetGauge("store.free_bytes", free)
-	switch {
-	case free < cfg.DiskFloorBytes:
-		s.setReadOnly(true)
-	case free >= 2*cfg.DiskFloorBytes:
-		s.setReadOnly(false)
-	}
 }
 
 // StartScrubber launches the background scrub loop: one ScrubOnce pass

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -254,46 +253,6 @@ func TestScrubFaultInjectedLatentCorruption(t *testing.T) {
 	}
 }
 
-func TestReadOnlyModeGatesWrites(t *testing.T) {
-	s, err := Open(Config{Dir: t.TempDir(), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	e := entry(0, 1)
-	mustPut(t, s, e)
-
-	free := int64(0)
-	cfg := ScrubConfig{
-		Pace:           -1,
-		DiskFloorBytes: 1 << 20,
-		FreeSpace:      func(string) (int64, error) { return free, nil },
-	}
-	s.ScrubOnce(context.Background(), cfg)
-	if _, err := s.Put(entry(1, 1)); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Put in read-only mode: %v, want ErrReadOnly", err)
-	}
-	if err := s.PutResult(e.ID, []byte("x")); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("PutResult in read-only mode: %v, want ErrReadOnly", err)
-	}
-	if _, err := s.Delete(e.ID); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Delete in read-only mode: %v, want ErrReadOnly", err)
-	}
-	wantGet(t, s, e.ID, "hot", e.Result)
-	if _, ok := s.Source(e.ID); !ok {
-		t.Fatal("Source must keep serving in read-only mode")
-	}
-	if st := s.StatsSnapshot(); !st.ReadOnly || st.ReadOnlyEvents != 1 {
-		t.Fatalf("stats = readOnly %v, events %d", st.ReadOnly, st.ReadOnlyEvents)
-	}
-
-	free = 2 << 20
-	s.ScrubOnce(context.Background(), cfg)
-	if _, err := s.Put(entry(1, 1)); err != nil {
-		t.Fatalf("Put after clearing read-only: %v", err)
-	}
-}
-
 // diskFullInjector makes every "store.diskfull" site it is asked about
 // at the given rate fail with ENOSPC.
 func diskFullInjector(rate float64) *faultinject.Injector {
@@ -304,9 +263,9 @@ func diskFullInjector(rate float64) *faultinject.Injector {
 	})
 }
 
-// TestDiskFullFailsOnlyItsWrite: with no watchdog configured, an ENOSPC
-// on one key fails that write alone. The store stays writable, and a Put
-// of another key right after it lands and serves.
+// TestDiskFullFailsOnlyItsWrite: an ENOSPC on one key fails that write
+// alone. The store stays writable, and a Put of another key right after
+// it lands and serves.
 func TestDiskFullFailsOnlyItsWrite(t *testing.T) {
 	probe := diskFullInjector(0.5)
 	full, room := -1, -1
@@ -329,20 +288,17 @@ func TestDiskFullFailsOnlyItsWrite(t *testing.T) {
 	if _, err := s.Put(entry(full, 1)); !IsDiskFull(err) {
 		t.Fatalf("Put(%s) on a full disk: %v, want ENOSPC", entry(full, 1).ID, err)
 	}
-	if s.ReadOnly() {
-		t.Fatal("one ENOSPC left the store read-only")
-	}
 	e := entry(room, 1)
 	mustPut(t, s, e)
 	wantGet(t, s, e.ID, "hot", e.Result)
-	if st := s.StatsSnapshot(); st.DiskFullEvents != 1 || st.ReadOnlyEvents != 0 || s.Len() != 1 {
-		t.Fatalf("stats = diskFull %d, roEvents %d, live %d; want 1, 0, 1", st.DiskFullEvents, st.ReadOnlyEvents, s.Len())
+	if st := s.StatsSnapshot(); st.DiskFullEvents != 1 || s.Len() != 1 {
+		t.Fatalf("stats = diskFull %d, live %d; want 1, 1", st.DiskFullEvents, s.Len())
 	}
 }
 
 // TestDiskFullAppendKeepsAckedWrites: on a disk where every append meets
-// ENOSPC, each write is refused on its own (never as read-only), and
-// every previously acked write still serves, then and after a reopen.
+// ENOSPC, each write is refused on its own, and every previously acked
+// write still serves, then and after a reopen.
 func TestDiskFullAppendKeepsAckedWrites(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir, Shards: 2})
@@ -369,17 +325,14 @@ func TestDiskFullAppendKeepsAckedWrites(t *testing.T) {
 			t.Fatalf("Put %d on full disk: %v, want ENOSPC", i, err)
 		}
 	}
-	if s.ReadOnly() {
-		t.Fatal("ENOSPC left the store read-only")
-	}
 	// Every acked write still serves (hot tier is cold after reopen, so
 	// these are true disk reads).
 	for i := 0; i < acked; i++ {
 		e := entry(i, 1)
 		wantGet(t, s, e.ID, "disk", e.Result)
 	}
-	if st := s.StatsSnapshot(); st.DiskFullEvents != 2 || st.ReadOnlyEvents != 0 {
-		t.Fatalf("stats = diskFull %d, roEvents %d; want 2, 0", st.DiskFullEvents, st.ReadOnlyEvents)
+	if st := s.StatsSnapshot(); st.DiskFullEvents != 2 {
+		t.Fatalf("stats = diskFull %d; want 2", st.DiskFullEvents)
 	}
 
 	// A clean reopen (space freed, say) still has every acked write.
@@ -401,9 +354,8 @@ func TestDiskFullAppendKeepsAckedWrites(t *testing.T) {
 }
 
 // TestConcurrentDiskFullInstallsNothing races writers into ENOSPC: each
-// refused write gets its own ENOSPC and installs nothing, the store never
-// turns read-only, and once space is back the next write lands. Run it
-// under -race -count=10.
+// refused write gets its own ENOSPC and installs nothing, and once space
+// is back the next write lands. Run it under -race -count=10.
 func TestConcurrentDiskFullInstallsNothing(t *testing.T) {
 	s, err := Open(Config{Dir: t.TempDir(), Shards: 4, Fault: diskFullInjector(1)})
 	if err != nil {
@@ -423,9 +375,9 @@ func TestConcurrentDiskFullInstallsNothing(t *testing.T) {
 			t.Fatalf("Put on a full disk: %v, want ENOSPC", err)
 		}
 	}
-	if st := s.StatsSnapshot(); st.ReadOnly || st.ReadOnlyEvents != 0 || st.DiskFullEvents != writers || s.Len() != 0 {
-		t.Fatalf("after racing ENOSPC: readOnly %v, events %d, diskFull %d, live %d; want false, 0, %d, 0",
-			st.ReadOnly, st.ReadOnlyEvents, st.DiskFullEvents, s.Len(), writers)
+	if st := s.StatsSnapshot(); st.DiskFullEvents != writers || s.Len() != 0 {
+		t.Fatalf("after racing ENOSPC: diskFull %d, live %d; want %d, 0",
+			st.DiskFullEvents, s.Len(), writers)
 	}
 
 	s.fault = nil // space freed
@@ -435,8 +387,8 @@ func TestConcurrentDiskFullInstallsNothing(t *testing.T) {
 }
 
 // TestDiskFullCompactionKeepsSegment: a compaction that meets ENOSPC
-// aborts with the old segment untouched and the store writable, and the
-// next trigger, with space back, compacts.
+// aborts with the old segment untouched, and the next trigger, with
+// space back, compacts.
 func TestDiskFullCompactionKeepsSegment(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir, Shards: 1, CompactMinBytes: 1 << 40})
@@ -464,9 +416,6 @@ func TestDiskFullCompactionKeepsSegment(t *testing.T) {
 	s.maybeCompactLocked(sh)
 	sh.mu.Unlock()
 
-	if s.ReadOnly() {
-		t.Fatal("ENOSPC in compaction left the store read-only")
-	}
 	if st := s.StatsSnapshot(); st.Compactions != 0 || st.DiskFullEvents != 1 {
 		t.Fatalf("compactions = %d, diskFull %d; want 0 (aborted), 1", st.Compactions, st.DiskFullEvents)
 	}
@@ -491,43 +440,6 @@ func TestDiskFullCompactionKeepsSegment(t *testing.T) {
 		t.Fatalf("compactions = %d after space came back, want 1", st.Compactions)
 	}
 	wantLive("after compaction")
-}
-
-func TestDiskBudgetWatchdog(t *testing.T) {
-	s, err := Open(Config{Dir: t.TempDir(), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	mustPut(t, s, entry(0, 1))
-
-	free := int64(10 << 20)
-	cfg := ScrubConfig{
-		Pace:           -1,
-		DiskFloorBytes: 64 << 20,
-		FreeSpace:      func(string) (int64, error) { return free, nil },
-	}
-	rep := s.ScrubOnce(context.Background(), cfg)
-	if !rep.ReadOnly || !s.ReadOnly() {
-		t.Fatal("watchdog must flip read-only below the floor")
-	}
-	if rep.FreeBytes != free {
-		t.Fatalf("FreeBytes = %d, want %d", rep.FreeBytes, free)
-	}
-
-	// Hysteresis: recovering past the floor but short of twice it keeps
-	// the store read-only; past twice the floor it becomes writable.
-	free = 96 << 20
-	if rep = s.ScrubOnce(context.Background(), cfg); !rep.ReadOnly {
-		t.Fatal("watchdog cleared read-only inside the hysteresis band")
-	}
-	free = 200 << 20
-	if rep = s.ScrubOnce(context.Background(), cfg); rep.ReadOnly {
-		t.Fatal("watchdog must clear read-only once space recovers")
-	}
-	if _, err := s.Put(entry(1, 1)); err != nil {
-		t.Fatalf("Put after recovery: %v", err)
-	}
 }
 
 func TestScrubSkipsEntriesOnInjectedReadError(t *testing.T) {

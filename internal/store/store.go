@@ -46,16 +46,12 @@ import (
 	"schemaevo/internal/telemetry"
 )
 
-// ErrReadOnly is returned by mutating operations while the store is in
-// read-only mode: the disk-budget watchdog found free space below its
-// floor. Only the watchdog's recovery leaves it; an ENOSPC on a flush
-// fails that write alone and does not enter it.
-// Reads keep serving; callers should answer retryable unavailability
-// (HTTP 503) rather than treating this as data loss.
-var ErrReadOnly = errors.New("store: read-only mode")
-
 // IsDiskFull reports whether err is an out-of-space condition (real or
-// injected via the "store.diskfull" fault site).
+// injected via the "store.diskfull" fault site). It is the store's one
+// answer to a full disk: the write that met it fails alone and installs
+// nothing, previously acked records stay live, reads keep serving, and
+// the next write tries the disk again. Callers should answer retryable
+// unavailability (HTTP 503) rather than treating it as data loss.
 func IsDiskFull(err error) bool {
 	return errors.Is(err, syscall.ENOSPC) || errors.Is(err, syscall.EDQUOT)
 }
@@ -162,30 +158,10 @@ type Store struct {
 	nmu    sync.Mutex
 	byName map[string]nameEntry // live project name -> ID + sequence
 
-	// Read-only mode: entered and left by the disk-budget watchdog alone.
-	// An ENOSPC fails only the write that met it.
-	readOnly atomic.Bool
-
 	// Background scrubber lifecycle (StartScrubber/StopScrubber).
 	smu       sync.Mutex
 	scrubStop chan struct{}
 	scrubDone chan struct{}
-}
-
-// ReadOnly reports whether the store is currently refusing mutations.
-func (s *Store) ReadOnly() bool { return s.readOnly.Load() }
-
-// setReadOnly enters or leaves read-only mode, counting each entry.
-func (s *Store) setReadOnly(on bool) {
-	if !s.readOnly.CompareAndSwap(!on, on) {
-		return
-	}
-	if on {
-		s.cnt.Add(telemetry.StoreReadOnlyEvents, 1)
-		s.tel.SetGauge("store.read_only", 1)
-	} else {
-		s.tel.SetGauge("store.read_only", 0)
-	}
 }
 
 // nameEntry is the name index's value: the live ID and the sequence of
@@ -556,12 +532,8 @@ func (s *Store) quarantineLocked(sh *shard, r *ref) {
 // superseded entry's ID ("" when none, or unchanged). A failed flush
 // installs nothing: no tier serves the entry and the previous version
 // stays live, so callers must not acknowledge the write. An out-of-space
-// flush wraps syscall.ENOSPC (see IsDiskFull). In read-only mode Put
-// refuses up front with ErrReadOnly.
+// flush wraps syscall.ENOSPC (see IsDiskFull).
 func (s *Store) Put(e Entry) (prevID string, err error) {
-	if s.readOnly.Load() {
-		return "", ErrReadOnly
-	}
 	end := s.seq.Add(2)
 	seqSrc, seqRes := end-2, end-1
 	sh := s.shardFor(e.ID)
@@ -630,9 +602,6 @@ func (s *Store) Put(e Entry) (prevID string, err error) {
 // the write-back after an on-demand re-analysis of an evicted or
 // quarantined result. Like Put, a failed flush installs nothing.
 func (s *Store) PutResult(id string, result []byte) error {
-	if s.readOnly.Load() {
-		return ErrReadOnly
-	}
 	seq := s.seq.Add(1) - 1
 	sh := s.shardFor(id)
 	sh.mu.Lock()
@@ -673,9 +642,6 @@ func (s *Store) PutResult(id string, result []byte) error {
 // tombstone flush leaves the entry live in every tier and returns the
 // error: the delete did not happen.
 func (s *Store) Delete(id string) (bool, error) {
-	if s.readOnly.Load() {
-		return false, ErrReadOnly
-	}
 	seq := s.seq.Add(1) - 1
 	sh := s.shardFor(id)
 	sh.mu.Lock()
@@ -784,11 +750,6 @@ func (s *Store) Each(fn func(id, name string, result []byte)) {
 // failed flush those bytes count as garbage, and the caller installs
 // nothing: the write is in the state a crash mid-write leaves.
 func (s *Store) flushLocked(sh *shard, key string, buf []byte) error {
-	// "store.slowdisk" simulates a degraded device: the write eventually
-	// succeeds, it just stalls first.
-	if s.fault.At("store.slowdisk", key) == faultinject.KindDelay {
-		s.fault.Sleep(context.Background())
-	}
 	// "store.diskfull" simulates ENOSPC: nothing lands on disk and the
 	// caller must not acknowledge the write. Previously acked records are
 	// untouched, and the next write tries the disk again.
@@ -1012,10 +973,7 @@ type Stats struct {
 	FlushErrors    int64
 	GarbageBytes   int64
 	LiveBytes      int64
-	// ReadOnly is the current mode; ReadOnlyEvents and DiskFullEvents
-	// count transitions into it and ENOSPC incidents respectively.
-	ReadOnly       bool
-	ReadOnlyEvents int64
+	// DiskFullEvents counts ENOSPC incidents, each failing one write.
 	DiskFullEvents int64
 	// ScrubPasses and Repairs summarize the background scrubber.
 	ScrubPasses int64
@@ -1030,8 +988,6 @@ func (s *Store) StatsSnapshot() Stats {
 	st.Quarantined = s.cnt.Load(telemetry.StoreQuarantined)
 	st.Compactions = s.cnt.Load(telemetry.StoreCompactions)
 	st.FlushErrors = s.cnt.Load(telemetry.StoreFlushErrors)
-	st.ReadOnly = s.readOnly.Load()
-	st.ReadOnlyEvents = s.cnt.Load(telemetry.StoreReadOnlyEvents)
 	st.DiskFullEvents = s.cnt.Load(telemetry.StoreDiskFullEvents)
 	st.ScrubPasses = s.cnt.Load(telemetry.StoreScrubPasses)
 	st.Repairs = s.cnt.Load(telemetry.StoreRepairs)
@@ -1043,7 +999,7 @@ func (s *Store) StatsSnapshot() Stats {
 				if !m.res.ok() {
 					st.MissingResults++
 				}
-			} else if _, ok := s.hot.get(id); !ok {
+			} else if !s.hot.has(id) {
 				st.MissingResults++
 			}
 		}

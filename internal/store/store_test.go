@@ -291,6 +291,46 @@ func TestMemoryModeResultEvictionLeavesSource(t *testing.T) {
 	wantGet(t, s, a.ID, "hot", a.Result)
 }
 
+// hotOrder lists the hot tier's IDs from most to least recently used.
+func hotOrder(s *Store) []string {
+	s.hot.mu.Lock()
+	defer s.hot.mu.Unlock()
+	var ids []string
+	for el := s.hot.order.Front(); el != nil; el = el.Next() {
+		ids = append(ids, el.Value.(*hotEntry).id)
+	}
+	return ids
+}
+
+// TestStatsSnapshotKeepsHotOrder: a health probe counts the results the
+// hot tier holds in memory mode without promoting them, so eviction
+// still drops the least recently used entry after a probe.
+func TestStatsSnapshotKeepsHotOrder(t *testing.T) {
+	s, err := Open(Config{Shards: 4, HotEntries: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 32
+	for i := 0; i < n; i++ {
+		mustPut(t, s, entry(i, 1))
+	}
+	before := hotOrder(s)
+	if st := s.StatsSnapshot(); st.Entries != n || st.MissingResults != 0 {
+		t.Fatalf("stats = %d entries, %d missing; want %d, 0", st.Entries, st.MissingResults, n)
+	}
+	after := hotOrder(s)
+	if strings.Join(after, ",") != strings.Join(before, ",") {
+		moved := 0
+		for i := range before {
+			if before[i] != after[i] {
+				moved++
+			}
+		}
+		t.Fatalf("StatsSnapshot moved %d of %d hot-tier LRU positions", moved, n)
+	}
+}
+
 func TestPutResultPersists(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Config{Dir: dir, Shards: 2})

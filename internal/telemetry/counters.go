@@ -47,8 +47,6 @@ const (
 	StoreRepairs
 	// StoreDiskFullEvents counts ENOSPC incidents (real or injected).
 	StoreDiskFullEvents
-	// StoreReadOnlyEvents counts transitions into read-only mode.
-	StoreReadOnlyEvents
 	StoreBytesRead
 	StoreBytesWritten
 
@@ -97,7 +95,6 @@ var counterTable = [numCounters]struct {
 	StoreScrubbedRecords: {"store.scrubbed_records", func(r *Report) *int64 { return &r.Store.ScrubbedRecords }},
 	StoreRepairs:         {"store.repairs", func(r *Report) *int64 { return &r.Store.Repairs }},
 	StoreDiskFullEvents:  {"store.disk_full_events", func(r *Report) *int64 { return &r.Store.DiskFullEvents }},
-	StoreReadOnlyEvents:  {"store.read_only_events", func(r *Report) *int64 { return &r.Store.ReadOnlyEvents }},
 	StoreBytesRead:       {"store.bytes_read", func(r *Report) *int64 { return &r.Store.BytesRead }},
 	StoreBytesWritten:    {"store.bytes_written", func(r *Report) *int64 { return &r.Store.BytesWritten }},
 

@@ -12,7 +12,7 @@ import (
 // ReportSchemaVersion identifies the report layout; consumers should
 // reject versions they do not understand. Bump it whenever a field is
 // added, removed, or changes meaning.
-const ReportSchemaVersion = 6
+const ReportSchemaVersion = 7
 
 // StageReport is one stage's aggregated telemetry. Field order is part
 // of the report contract and is pinned by a golden test.
@@ -73,10 +73,8 @@ type StoreReport struct {
 	ScrubPasses     int64 `json:"scrub_passes"`
 	ScrubbedRecords int64 `json:"scrubbed_records"`
 	Repairs         int64 `json:"repairs"`
-	// DiskFullEvents counts ENOSPC incidents on the write path;
-	// ReadOnlyEvents counts transitions into read-only mode.
+	// DiskFullEvents counts ENOSPC incidents on the write path.
 	DiskFullEvents int64 `json:"disk_full_events"`
-	ReadOnlyEvents int64 `json:"read_only_events"`
 	BytesRead      int64 `json:"bytes_read"`
 	BytesWritten   int64 `json:"bytes_written"`
 	// HitRate is (HotHits+DiskHits)/(HotHits+DiskHits+DiskMisses): the

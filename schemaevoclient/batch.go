@@ -54,8 +54,9 @@ type batchWireLine struct {
 // received acknowledges its line durably analyzed. Re-sent overlap
 // (lines analyzed but unacknowledged when the connection died) dedupes
 // server-side into store hits. Whole-request refusals (429/503, e.g. a
-// draining or read-only service) back off with the server's Retry-After
-// hint like every unary call.
+// draining service) back off with the server's Retry-After hint like
+// every unary call. A line whose write meets a full disk comes back as
+// an error line (counted in Errors; the project was not stored).
 func (c *Client) BatchIngest(ctx context.Context, docs [][]byte) (*BatchResult, error) {
 	for i, d := range docs {
 		if len(bytes.TrimSpace(d)) == 0 {

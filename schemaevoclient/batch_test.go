@@ -121,7 +121,7 @@ func TestBatchRetriesWholeRequestRefusal(t *testing.T) {
 		if !refused {
 			refused = true
 			w.Header().Set("Retry-After", "2")
-			http.Error(w, `{"error":"store is in read-only mode"}`, http.StatusServiceUnavailable)
+			http.Error(w, `{"error":"server is draining"}`, http.StatusServiceUnavailable)
 			return
 		}
 		fake.ServeHTTP(w, r)

@@ -4,7 +4,7 @@
 // not the service's weather:
 //
 //   - every retryable failure — connection errors, 429 backpressure,
-//     503 drain/read-only refusals, transient 5xx — is retried with
+//     503 drain and disk-full refusals, transient 5xx — is retried with
 //     capped exponential backoff and full jitter, always honoring the
 //     server's Retry-After hint (the sleep is never shorter than the
 //     hint, never longer than the jitter cap if that is larger);
@@ -148,7 +148,6 @@ type Health struct {
 	Status         string   `json:"status"`
 	Projects       int      `json:"projects"`
 	Stored         int      `json:"stored"`
-	ReadOnly       bool     `json:"read_only"`
 	PendingRepairs int      `json:"pending_repairs"`
 	QueueDepth     int      `json:"queue_depth"`
 	Reasons        []string `json:"reasons"`
@@ -207,8 +206,8 @@ func retryAfterHint(resp *http.Response) time.Duration {
 }
 
 // retryableStatus reports whether a status code is worth another
-// attempt: backpressure, drain/read-only refusals, and transient server
-// faults. Client errors (4xx other than 429) are terminal.
+// attempt: backpressure, drain and disk-full refusals, and transient
+// server faults. Client errors (4xx other than 429) are terminal.
 func retryableStatus(status int) bool {
 	switch status {
 	case http.StatusTooManyRequests,
@@ -401,7 +400,7 @@ func (c *Client) Delete(ctx context.Context, id string) error {
 }
 
 // Health fetches /healthz. It reaches the service even while degraded
-// or read-only (the endpoint stays 200; the body carries the state).
+// (the endpoint stays 200; the body carries the state).
 func (c *Client) Health(ctx context.Context) (*Health, error) {
 	_, data, err := c.do(ctx, http.MethodGet, "/healthz", nil)
 	if err != nil {
