@@ -283,7 +283,12 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	// until re-analyzed on demand. The result bytes live only for the
 	// callback, and nothing kept here aliases them: the pattern is a
 	// value, and id and name are the store's own strings. The corpus and
-	// stored members load in bulk and each group sorts once.
+	// stored members load in bulk and each group sorts once. Each runs
+	// the callback on several workers at once: each decodes and classifies
+	// on its own, and only the append to the index is serialized.
+	// sortGroups orders each group by (name, ID), so the rebuilt index does
+	// not depend on the order the members arrived in.
+	var aggMu sync.Mutex
 	s.store.Each(func(id, name string, result []byte) {
 		if result == nil {
 			return
@@ -292,7 +297,10 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 			return
 		}
 		if m, err := pipeline.DecodeMeasures(result); err == nil {
-			s.agg.load(id, name, assignedPattern(m, s.scheme), true)
+			pat := assignedPattern(m, s.scheme)
+			aggMu.Lock()
+			s.agg.load(id, name, pat, true)
+			aggMu.Unlock()
 		}
 	})
 	s.agg.sortGroups()

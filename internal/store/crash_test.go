@@ -151,7 +151,7 @@ func TestBitFlipQuarantinesOnlyDamagedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, bad := scanRecords(data[len(segHeader):], int64(len(segHeader)))
+	recs, bad := scanFile(t, data)
 	if bad != 0 || len(recs) != 20 {
 		t.Fatalf("pre-flip scan: %d records, %d bad; want 20, 0", len(recs), bad)
 	}
@@ -260,7 +260,7 @@ func TestReadTimeQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _ := scanRecords(data[len(segHeader):], int64(len(segHeader)))
+	recs, _ := scanFile(t, data)
 	// Records land in Put order: a.src, a.res, b.src, b.res.
 	victim := recs[1]
 	if victim.id != a.ID || victim.kind != recResult {

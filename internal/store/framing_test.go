@@ -190,7 +190,7 @@ func TestHotTierChargesCapacity(t *testing.T) {
 // allocation-free verifier: over intact frames and their truncations,
 // extensions, bit flips and resealed mutations (a fresh CRC, so the
 // magic, length, kind and header-shape checks must catch the damage on
-// their own), frameIntact accepts exactly the frames scanRecords reads
+// their own), frameIntact accepts exactly the frames scanSegment reads
 // back as one record spanning the whole input.
 func TestFrameIntactMatchesScan(t *testing.T) {
 	frames := [][]byte{
@@ -211,10 +211,13 @@ func TestFrameIntactMatchesScan(t *testing.T) {
 	var accepted, rejected int
 	check := func(what string, f []byte) {
 		t.Helper()
-		recs, _ := scanRecords(f, 0)
+		recs, _, _, err := scanSegment(bytes.NewReader(f), 0, int64(len(f)), new([]byte))
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := len(recs) == 1 && recs[0].total == int64(len(f))
 		if got := frameIntact(f); got != want {
-			t.Fatalf("%s: frameIntact = %v, scanRecords accepts = %v (%x)", what, got, want, f)
+			t.Fatalf("%s: frameIntact = %v, scanSegment accepts = %v (%x)", what, got, want, f)
 		}
 		if want {
 			accepted++

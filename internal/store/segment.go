@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 )
 
 // Segment files are append-friendly logs of framed records. Every record
@@ -31,7 +32,11 @@ import (
 // The header carries everything recovery needs to rebuild the in-memory
 // index (id, name, fingerprint, liveness order via seq) without decoding
 // bodies. The scan still reads and CRC-checks every byte, so a warm
-// restart costs time in proportion to the data, not to the entries.
+// restart costs time in proportion to the data, not to the entries. It
+// reads a segment through a fixed window (scanWindow), carrying a record
+// the window cuts off to the front of the next read, so its memory is one
+// window, or one record when a record is larger; Open runs one such scan
+// per shard, on as many workers as there are cores and shards.
 
 // segHeader opens every shard segment file.
 const segHeader = "SEVSEG1\n"
@@ -130,64 +135,149 @@ func parseHeader(hdr []byte) (id, name, fp string, ok bool) {
 	return id, name, fp, len(hdr) == 0
 }
 
-// scanRecords walks segment bytes (past the file header), returning every
-// intact record and the number of damaged ones skipped. base is the file
-// offset of data[0], so returned spans address the file directly. On any
-// damage — bad magic, impossible lengths, CRC mismatch, malformed header,
-// torn tail — the scan counts one quarantined record and resynchronizes at
-// the next frame magic.
-func scanRecords(data []byte, base int64) (out []rec, quarantined int) {
-	resync := func(from int) int {
-		i := bytes.Index(data[from:], recMagic[:])
-		if i < 0 {
-			return len(data)
-		}
-		return from + i
+// scanWindow is how many bytes the recovery scan reads at a time. A
+// record larger than the window grows it to the record's size.
+const scanWindow = 256 << 10
+
+// scanSegment scans the segment bytes [base, size) of r, returning every
+// intact record and the number of damaged ones skipped; record spans
+// address r directly. On any damage — bad magic, impossible lengths,
+// CRC mismatch, malformed header, torn tail — the scan counts one
+// quarantined record and resynchronizes at the next frame magic.
+//
+// The bytes are read through *buf, whose capacity is the window (a
+// caller scanning several segments passes the same buffer, and a zero
+// capacity selects scanWindow). The scan preads one window at a time and
+// carries the unscanned tail of a window to the front of the next rather
+// than reading it again; it grows *buf only for a record that does not
+// fit. It copies out every string it keeps, so the caller may reuse *buf.
+// end is where the bytes ended: size, or less when r turned out shorter
+// (a file that shrank since its size was taken).
+func scanSegment(r io.ReaderAt, base, size int64, buf *[]byte) (recs []rec, quarantined int, end int64, err error) {
+	if cap(*buf) == 0 {
+		*buf = make([]byte, scanWindow)
 	}
-	off := 0
-	for off < len(data) {
-		if len(data)-off < recFixed || !bytes.Equal(data[off:off+4], recMagic[:]) {
+	w := window{r: r, buf: *buf, start: base, size: size}
+	defer func() { *buf = w.buf }()
+	// resync returns the offset of the next frame magic at or after from,
+	// or the end of the bytes when there is none.
+	resync := func(from int64) (int64, error) {
+		for from < w.size {
+			b, err := w.at(from, int64(len(recMagic)))
+			if err != nil {
+				return 0, err
+			}
+			if i := bytes.Index(b, recMagic[:]); i >= 0 {
+				return from + int64(i), nil
+			}
+			if len(b) < len(recMagic) {
+				break
+			}
+			// The window's last bytes may begin a magic it cuts off.
+			from += int64(len(b) - len(recMagic) + 1)
+		}
+		return w.size, nil
+	}
+	off := base
+	for off < w.size {
+		b, err := w.at(off, recFixed)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		if len(b) == 0 {
+			break // the file ended early, at off
+		}
+		ok := len(b) >= recFixed && bytes.Equal(b[:4], recMagic[:])
+		var kind byte
+		var seq uint64
+		var hdrLen, bodyLen, total int64
+		if ok {
+			kind = b[4]
+			seq = binary.LittleEndian.Uint64(b[5:])
+			hdrLen = int64(binary.LittleEndian.Uint32(b[13:]))
+			bodyLen = int64(binary.LittleEndian.Uint32(b[17:]))
+			total = recFixed + hdrLen + bodyLen + 4
+			ok = off+total <= w.size
+		}
+		if ok {
+			if b, err = w.at(off, total); err != nil {
+				return nil, 0, 0, err
+			}
+			// The file may end short of total after all (it shrank).
+			ok = int64(len(b)) >= total
+		}
+		var id, name, fp string
+		if ok {
+			frame := b[:total]
+			ok = crc32.Checksum(frame[4:total-4], crcTable) == binary.LittleEndian.Uint32(frame[total-4:])
+			if ok {
+				id, name, fp, ok = parseHeader(frame[recFixed : recFixed+hdrLen])
+				ok = ok && (kind == recSource || kind == recResult || kind == recTombstone)
+			}
+		}
+		if !ok {
 			quarantined++
-			off = resync(off + 1)
+			if off, err = resync(off + 1); err != nil {
+				return nil, 0, 0, err
+			}
 			continue
 		}
-		kind := data[off+4]
-		seq := binary.LittleEndian.Uint64(data[off+5:])
-		hdrLen := int64(binary.LittleEndian.Uint32(data[off+13:]))
-		bodyLen := int64(binary.LittleEndian.Uint32(data[off+17:]))
-		total := int64(recFixed) + hdrLen + bodyLen + 4
-		if int64(off)+total > int64(len(data)) {
-			quarantined++
-			off = resync(off + 1)
-			continue
-		}
-		end := off + int(total)
-		want := binary.LittleEndian.Uint32(data[end-4:])
-		if crc32.Checksum(data[off+4:end-4], crcTable) != want {
-			quarantined++
-			off = resync(off + 1)
-			continue
-		}
-		id, name, fp, ok := parseHeader(data[off+recFixed : off+recFixed+int(hdrLen)])
-		if !ok || (kind != recSource && kind != recResult && kind != recTombstone) {
-			quarantined++
-			off = resync(off + 1)
-			continue
-		}
-		out = append(out, rec{
+		recs = append(recs, rec{
 			kind: kind, seq: seq, id: id, name: name, fp: fp,
-			start: base + int64(off), total: total,
-			bodyOff: base + int64(off+recFixed) + hdrLen, bodyLen: bodyLen,
+			start: off, total: total,
+			bodyOff: off + recFixed + hdrLen, bodyLen: bodyLen,
 		})
-		off = end
+		off += total
 	}
-	return out, quarantined
+	return recs, quarantined, w.size, nil
+}
+
+// window is scanSegment's view of its input: buf[:n] holds the bytes
+// [start, start+n) of r, and size is where they end.
+type window struct {
+	r     io.ReaderAt
+	buf   []byte
+	start int64
+	n     int
+	size  int64
+}
+
+// at returns the bytes buffered from off on, reading so that there are at
+// least need of them or, failing that, all up to the end. A read that
+// meets the end of r early lowers size to it.
+func (w *window) at(off, need int64) ([]byte, error) {
+	need = min(need, w.size-off)
+	if off+need <= w.start+int64(w.n) {
+		return w.buf[off-w.start : w.n], nil
+	}
+	// Keep the buffered bytes from off on, at the front; drop the rest.
+	keep := 0
+	if off < w.start+int64(w.n) {
+		keep = copy(w.buf, w.buf[off-w.start:w.n])
+	}
+	if int64(cap(w.buf)) < need {
+		grown := make([]byte, need)
+		copy(grown, w.buf[:keep])
+		w.buf = grown
+	}
+	w.buf = w.buf[:cap(w.buf)]
+	w.start, w.n = off, keep
+	want := min(int64(len(w.buf)), w.size-off)
+	m, err := w.r.ReadAt(w.buf[w.n:want], off+int64(w.n))
+	w.n += m
+	if err == io.EOF {
+		w.size, err = off+int64(w.n), nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return w.buf[:w.n], nil
 }
 
 // frameIntact reports whether frame is exactly one intact record: magic,
 // lengths that add up to len(frame), CRC, a known kind, and a header of
 // three length-prefixed strings that consume it exactly. It accepts the
-// frames scanRecords returns as a single record spanning the whole input,
+// frames scanSegment returns as a single record spanning the whole input,
 // and rejects the rest, without materializing anything.
 func frameIntact(frame []byte) bool {
 	if len(frame) < recFixed || !bytes.Equal(frame[:4], recMagic[:]) {

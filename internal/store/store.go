@@ -34,9 +34,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -188,7 +188,12 @@ const storeMetaVersion = 2
 // Open builds the store, recovering the disk tier's index by scanning
 // every shard segment: damaged records are quarantined (counted, skipped,
 // their space reclaimed by the next compaction) and every intact record is
-// resolved by per-name max-sequence into the live set.
+// resolved by per-name max-sequence into the live set. The shards are
+// opened and scanned concurrently, on min(GOMAXPROCS, shards) workers that
+// each read through one fixed window of their own (scanSegment), so the
+// scan holds at most that many windows, plus any record larger than a
+// window, never a whole shard. An Open that fails closes every segment
+// file it opened.
 func Open(cfg Config) (*Store, error) {
 	s := &Store{
 		dir:        cfg.Dir,
@@ -248,50 +253,43 @@ func Open(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 
+	// Recovery scans the shards concurrently, each worker reading through
+	// one window buffer of its own, then merges their records in shard
+	// order, so liveness sees the same input as a scan of one shard after
+	// another.
+	s.shards = make([]*shard, n)
+	scans := make([]shardScan, n)
+	onWorkers(n, func(next func() (int, bool)) {
+		buf := make([]byte, scanWindow)
+		for i, ok := next(); ok; i, ok = next() {
+			s.shards[i], scans[i] = openShard(filepath.Join(s.dir, fmt.Sprintf("shard-%03d.seg", i)), &buf)
+		}
+	})
+	for _, sc := range scans {
+		if sc.err != nil {
+			for _, sh := range s.shards {
+				if sh != nil {
+					sh.file.Close()
+				}
+			}
+			return nil, fmt.Errorf("store: %w", sc.err)
+		}
+	}
 	type located struct {
 		rec
 		shard int
 	}
-	var all []located
-	var buf []byte // every shard is read into this buffer in turn
-	for i := 0; i < n; i++ {
-		sh := &shard{
-			byID:  map[string]*meta{},
-			tombs: map[string]tomb{},
-			path:  filepath.Join(s.dir, fmt.Sprintf("shard-%03d.seg", i)),
+	total, bad := 0, 0
+	for _, sc := range scans {
+		total += len(sc.recs)
+		bad += sc.quarantined
+	}
+	s.cnt.Add(telemetry.StoreQuarantined, int64(bad))
+	all := make([]located, 0, total)
+	for i, sc := range scans {
+		for _, r := range sc.recs {
+			all = append(all, located{rec: r, shard: i})
 		}
-		f, err := os.OpenFile(sh.path, os.O_RDWR|os.O_CREATE, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		sh.file = f
-		var data []byte
-		data, buf, err = readAll(f, buf)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		sh.size = int64(len(data))
-		if len(data) == 0 {
-			if _, err := f.Write([]byte(segHeader)); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("store: %w", err)
-			}
-			sh.size = int64(len(segHeader))
-		} else {
-			// A damaged file header is not fatal: scan from 0 and let the
-			// frame magic resynchronize.
-			base := int64(0)
-			if len(data) >= len(segHeader) && string(data[:len(segHeader)]) == segHeader {
-				base = int64(len(segHeader))
-			}
-			recs, bad := scanRecords(data[base:], base)
-			s.cnt.Add(telemetry.StoreQuarantined, int64(bad))
-			for _, r := range recs {
-				all = append(all, located{rec: r, shard: i})
-			}
-		}
-		s.shards = append(s.shards, sh)
 	}
 
 	// Liveness: the newest record per name decides — a tombstone kills the
@@ -372,23 +370,74 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// readAll reads the whole file f into buf, growing it only when its
-// capacity falls short, and returns the file's bytes and the buffer for
-// reuse. The scan copies out every string it keeps, so the next shard may
-// overwrite the bytes.
-func readAll(f *os.File, buf []byte) (data, grown []byte, err error) {
-	fi, err := f.Stat()
+// shardScan is one shard's recovery scan: its intact records in file
+// order and the count of damaged ones, or the error that failed it.
+type shardScan struct {
+	recs        []rec
+	quarantined int
+	err         error
+}
+
+// openShard opens one shard's segment file, creating it with its header
+// when absent, and scans it through buf. On error it closes the file and
+// returns a nil shard.
+func openShard(path string, buf *[]byte) (*shard, shardScan) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, buf, err
+		return nil, shardScan{err: err}
 	}
-	if int64(cap(buf)) < fi.Size() {
-		buf = make([]byte, fi.Size())
+	sh := &shard{file: f, path: path, byID: map[string]*meta{}, tombs: map[string]tomb{}}
+	sc := sh.scan(buf)
+	if sc.err != nil {
+		f.Close()
+		return nil, sc
 	}
-	n, err := io.ReadFull(f, buf[:fi.Size()])
-	if err == io.ErrUnexpectedEOF {
-		err = nil // the file shrank since Stat: scan what is there
+	return sh, sc
+}
+
+// scan recovers the shard's segment file through buf and sets the append
+// offset to the end of what it scanned. An empty file gets its header.
+func (sh *shard) scan(buf *[]byte) shardScan {
+	fi, err := sh.file.Stat()
+	if err != nil {
+		return shardScan{err: err}
 	}
-	return buf[:n], buf, err
+	if fi.Size() == 0 {
+		_, err := sh.file.Write([]byte(segHeader))
+		sh.size = int64(len(segHeader))
+		return shardScan{err: err}
+	}
+	// A damaged file header is not fatal: scan from 0 and let the frame
+	// magic resynchronize. A read error here recurs in the scan, which
+	// reports it.
+	var hdr [len(segHeader)]byte
+	base := int64(0)
+	if n, _ := sh.file.ReadAt(hdr[:], 0); n == len(hdr) && string(hdr[:]) == segHeader {
+		base = int64(len(segHeader))
+	}
+	recs, bad, end, err := scanSegment(sh.file, base, fi.Size(), buf)
+	sh.size = end
+	return shardScan{recs: recs, quarantined: bad, err: err}
+}
+
+// onWorkers runs work on min(GOMAXPROCS, n) goroutines and returns once
+// they have all returned. Each calls next for the indices in [0, n) it is
+// to handle until next reports false; next hands every index out once.
+func onWorkers(n int, work func(next func() (int, bool))) {
+	var claimed atomic.Int64
+	next := func() (int, bool) {
+		i := int(claimed.Add(1) - 1)
+		return i, i < n
+	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(next)
+		}()
+	}
+	wg.Wait()
 }
 
 func sortedKeys(m map[string]bool) []string {
@@ -429,9 +478,14 @@ func (s *Store) Close() error {
 
 // shardFor maps an ID to its lock domain.
 func (s *Store) shardFor(id string) *shard {
+	return s.shards[s.shardIndex(id)]
+}
+
+// shardIndex is the index of id's shard.
+func (s *Store) shardIndex(id string) int {
 	h := fnv.New32a()
 	h.Write([]byte(id))
-	return s.shards[h.Sum32()%uint32(len(s.shards))]
+	return int(h.Sum32() % uint32(len(s.shards)))
 }
 
 // Len returns the number of live projects.
@@ -709,36 +763,40 @@ func (s *Store) retireLocked(sh *shard, m *meta) {
 	}
 }
 
-// Each calls fn for every live entry in name order, with the encoded
-// result when one is currently readable (nil otherwise — evicted in
-// memory mode, quarantined or pending on disk). It is the aggregate
-// rebuild hook a server runs at startup. On disk, every result is read
-// into one reused buffer and CRC-verified, and one failing verification
-// is quarantined, as Get does; the hot tier is neither read nor filled.
-// The result bytes are valid only during fn: a caller keeping any part of
-// them copies it. In memory mode each result is read through Get.
+// Each calls fn for every live entry once, with the encoded result when
+// one is currently readable (nil otherwise — evicted in memory mode,
+// quarantined or pending on disk). It is the aggregate rebuild hook a
+// server runs at startup. The live entries are grouped by shard and the
+// shards walked on min(GOMAXPROCS, shards) workers, so fn may be called
+// concurrently and in no particular order. On disk, each worker reads
+// its results into one reused buffer of its own and CRC-verifies them,
+// and one failing verification is quarantined, as Get does; the hot tier
+// is neither read nor filled. The result bytes are valid only during fn:
+// a caller keeping any part of them copies it. In memory mode each result
+// is read through Get.
 func (s *Store) Each(fn func(id, name string, result []byte)) {
+	type live struct{ id, name string }
+	byShard := make([][]live, len(s.shards))
 	s.nmu.Lock()
-	names := make([]string, 0, len(s.byName))
-	for n := range s.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	ids := make([]string, len(names))
-	for i, n := range names {
-		ids[i] = s.byName[n].id
+	for name, e := range s.byName {
+		i := s.shardIndex(e.id)
+		byShard[i] = append(byShard[i], live{id: e.id, name: name})
 	}
 	s.nmu.Unlock()
-	var frame []byte // every result is read into this buffer in turn
-	for i, id := range ids {
-		var body []byte
-		if s.dir == "" {
-			body, _, _ = s.Get(id)
-		} else {
-			body, frame, _ = s.readResult(id, frame)
+	onWorkers(len(byShard), func(next func() (int, bool)) {
+		var frame []byte // this worker's results are read into this buffer in turn
+		for i, ok := next(); ok; i, ok = next() {
+			for _, e := range byShard[i] {
+				var body []byte
+				if s.dir == "" {
+					body, _, _ = s.Get(e.id)
+				} else {
+					body, frame, _ = s.readResult(e.id, frame)
+				}
+				fn(e.id, e.name, body)
+			}
 		}
-		fn(id, names[i], body)
-	}
+	})
 }
 
 // flushLocked writes buf at the shard's append offset, honoring the

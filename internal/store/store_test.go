@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"schemaevo/internal/telemetry"
@@ -363,30 +364,72 @@ func TestPutResultPersists(t *testing.T) {
 	wantGet(t, s2, e.ID, "disk", res)
 }
 
-func TestEachIteratesNameOrder(t *testing.T) {
-	s, err := Open(Config{Dir: t.TempDir(), Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for _, i := range []int{5, 1, 3} {
-		mustPut(t, s, entry(i, 1))
-	}
-	var names []string
-	s.Each(func(id, name string, result []byte) {
-		names = append(names, name)
-		if result == nil {
-			t.Fatalf("Each(%s): nil result", name)
-		}
-	})
-	want := []string{"proj-0001", "proj-0003", "proj-0005"}
-	if len(names) != len(want) {
-		t.Fatalf("Each visited %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Each visited %v, want %v", names, want)
-		}
+// TestEachVisitsEveryLiveEntryOnce: Each passes every live entry exactly
+// once, with its name and current result, and nothing else — not an
+// overwritten version, not a deleted entry — in memory mode and on disk
+// over 1, 2 and 8 shards, with its callback running on several workers.
+func TestEachVisitsEveryLiveEntryOnce(t *testing.T) {
+	for _, c := range []struct {
+		mode   string
+		shards int
+	}{{"memory", 8}, {"disk", 1}, {"disk", 2}, {"disk", 8}} {
+		t.Run(fmt.Sprintf("%s/%d", c.mode, c.shards), func(t *testing.T) {
+			cfg := Config{Shards: c.shards}
+			if c.mode == "disk" {
+				cfg.Dir = t.TempDir()
+			}
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			type visit struct{ name, result string }
+			want := map[string]visit{}
+			for i := 0; i < 64; i++ {
+				e := entry(i, 1)
+				mustPut(t, s, e)
+				want[e.ID] = visit{e.Name, string(e.Result)}
+			}
+			for i := 0; i < 64; i += 3 { // overwritten: only version 2 is live
+				e := entry(i, 2)
+				mustPut(t, s, e)
+				delete(want, entry(i, 1).ID)
+				want[e.ID] = visit{e.Name, string(e.Result)}
+			}
+			for i := 1; i < 64; i += 5 {
+				id := entry(i, 1).ID
+				if i%3 == 0 {
+					id = entry(i, 2).ID
+				}
+				if ok, err := s.Delete(id); !ok || err != nil {
+					t.Fatalf("Delete(%s) = %v, %v", id, ok, err)
+				}
+				delete(want, id)
+			}
+			var mu sync.Mutex
+			got := map[string]visit{}
+			dup := 0
+			s.Each(func(id, name string, result []byte) {
+				v := visit{name, string(result)} // copies the result: it is valid only during the call
+				mu.Lock()
+				defer mu.Unlock()
+				if _, seen := got[id]; seen {
+					dup++
+				}
+				got[id] = v
+			})
+			if dup != 0 {
+				t.Fatalf("Each passed %d entries more than once", dup)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("Each visited %d entries, want the %d live ones", len(got), len(want))
+			}
+			for id, w := range want {
+				if got[id] != w {
+					t.Fatalf("Each(%s) = %+v, want %+v", id, got[id], w)
+				}
+			}
+		})
 	}
 }
 
@@ -415,20 +458,20 @@ func TestEachReadsDiskAndQuarantines(t *testing.T) {
 	defer s.Close()
 	damaged := entry(2, 1).ID
 	for pass := 0; pass < 2; pass++ {
-		seen := 0
+		var seen atomic.Int64
 		s.Each(func(id, name string, result []byte) {
-			seen++
+			seen.Add(1)
 			if pass == 1 && id == damaged {
 				if result != nil {
-					t.Fatalf("Each passed the damaged result of %s", id)
+					t.Errorf("Each passed the damaged result of %s", id)
 				}
 				return
 			}
 			if !bytes.Equal(result, want[id]) {
-				t.Fatalf("pass %d: Each(%s) = %q, want %q", pass, id, result, want[id])
+				t.Errorf("pass %d: Each(%s) = %q, want %q", pass, id, result, want[id])
 			}
 		})
-		if seen != len(want) {
+		if seen := seen.Load(); seen != int64(len(want)) {
 			t.Fatalf("pass %d: Each visited %d entries, want %d", pass, seen, len(want))
 		}
 		st := s.StatsSnapshot()
@@ -517,7 +560,7 @@ func TestCompactionPreservesSequenceNumbers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, bad := scanRecords(data[len(segHeader):], int64(len(segHeader)))
+	recs, bad := scanFile(t, data)
 	if bad != 0 {
 		t.Fatalf("%d damaged records in compacted segment", bad)
 	}
@@ -534,6 +577,44 @@ func TestCompactionPreservesSequenceNumbers(t *testing.T) {
 	}
 	if len(wantSeq) != 0 {
 		t.Fatalf("live records missing from compacted segment: %v", wantSeq)
+	}
+}
+
+// TestOpenClosesFilesOnFailure: an Open that fails at one shard closes
+// the segment files it opened for the others.
+func TestOpenClosesFilesOnFailure(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count open files in")
+	}
+	openFiles := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(fds)
+	}
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir, Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, s, entry(1, 1))
+	s.Close()
+	// A directory where a segment file belongs cannot be opened for writing.
+	bad := filepath.Join(dir, "shard-005.seg")
+	if err := os.Remove(bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(bad, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := openFiles()
+	if s, err := Open(Config{Dir: dir}); err == nil {
+		s.Close()
+		t.Fatal("Open succeeded with a directory for a segment file")
+	}
+	if after := openFiles(); after != before {
+		t.Fatalf("%d files open after the failed Open, %d before", after, before)
 	}
 }
 
